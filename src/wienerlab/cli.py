@@ -196,7 +196,8 @@ def _build_filter(n: int, m: Optional[int]) -> EnumFilter:
               default="g6", show_default=True)
 def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
                   shard: Optional[int], jobs: int, fmt: str) -> None:
-    """Connected even-degree graphs of order N, one canonical graph6 each."""
+    """Connected even-degree graphs of order N, one canonical graph6 each,
+    in sorted order."""
     if (shards is None) != (shard is None):
         _fail_usage("--shards and --shard must be given together")
     try:
@@ -210,7 +211,7 @@ def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
                     _shard_g6,
                     [(kw, _INTERNAL_SHARDS, i) for i in range(_INTERNAL_SHARDS)],
                 )
-            lines = sorted(line for part in parts for line in part)
+            lines = [line for part in parts for line in part]
         else:
             part = (EnumPartition(total_shards=shards, shard_index=shard)
                     if shards is not None else None)
@@ -218,6 +219,7 @@ def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
     except ValueError as exc:
         _fail_usage(str(exc))
         return
+    lines.sort()
     if count:
         click.echo(str(len(lines)))
     elif fmt == "json":

@@ -1,18 +1,37 @@
 """Isomorph-free exhaustive generation of small simple graphs.
 
-Canonical augmentation over vertex addition: a graph of order k+1 is reached
-from its parent of order k by attaching one new vertex to a nonempty subset
-of the old vertices.  A constructed child is accepted only when the new
-vertex lies in the automorphism orbit of the child's designated deletion
-vertex (the non-cutvertex with the largest canonical position), so every
-isomorphism class is emitted exactly once; candidate neighborhoods are
-deduplicated per parent up to the parent's automorphisms.
+Canonical augmentation over vertex addition (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998): a graph of order k+1 is
+reached from its parent of order k by attaching one new vertex to a nonempty
+subset of the old vertices.  Candidate neighborhoods are deduplicated per
+parent up to the parent's automorphisms.  A constructed child is accepted
+only when the new vertex lies in the automorphism orbit of the child's
+deletion vertex, so every isomorphism class is emitted exactly once.
+
+The deletion vertex is chosen by a cheap invariant first.  The key of a
+vertex is its degree, then the sorted degrees of its neighbors; the deletion
+vertex is the non-cut vertex with the largest key, and among several such
+vertices the one with the largest canonical position.  The new vertex is
+never a cut vertex (removing it leaves the connected parent) and orbits
+preserve keys, so a child in which some non-cut vertex outranks the new
+vertex is rejected before it is canonically labeled.  Degrees are compared
+first, neighbor degrees only on a degree tie, and cut vertices are tested
+by bitmask reachability only for vertices of at least the new vertex's
+degree.  Surviving children are canonized, since emission needs their
+canonical order and the next level's orbit dedup their automorphisms; the
+orbit test itself runs only when another non-cut vertex ties the new
+vertex's key.
 
 The search tree ranges over connected graphs; predicate filters apply at
 emission, except for two pushed-down prunings on the hot Eulerian path:
 when all degrees must end up even, the last vertex's neighborhood is forced
 to be exactly the set of odd-degree vertices, and a size ceiling prunes
 subtrees whose edge budget is already exhausted.
+
+Shards split the tree round-robin over the nodes of order
+max(2, min(n - 2, 6)); every shard rebuilds the levels above that split,
+which stay small.  Which classes land in which shard depends on the split
+and the deletion rule; only the union of the shards is guaranteed.
 """
 from __future__ import annotations
 
@@ -85,46 +104,66 @@ def _odd_mask(rows: Sequence[int]) -> int:
     return mask
 
 
-def _cut_mask(n: int, rows: Sequence[int]) -> int:
-    """Bitmask of the articulation vertices of a connected bitmask graph."""
-    if n <= 2:
-        return 0
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    cuts = 0
-    disc[0] = low[0] = 0
-    timer = 1
-    stack = [(0, rows[0])]
-    root_children = 0
-    while stack:
-        u, rem = stack[-1]
-        if rem:
-            b = rem & -rem
-            stack[-1] = (u, rem ^ b)
-            v = b.bit_length() - 1
-            if v == parent[u]:
-                continue
-            if disc[v] < 0:
-                parent[v] = u
-                if u == 0:
-                    root_children += 1
-                disc[v] = low[v] = timer
-                timer += 1
-                stack.append((v, rows[v]))
-            elif disc[v] < low[u]:
-                low[u] = disc[v]
-        else:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[u] < low[p]:
-                    low[p] = low[u]
-                if p != 0 and low[u] >= disc[p]:
-                    cuts |= 1 << p
-    if root_children > 1:
-        cuts |= 1
-    return cuts
+def _is_cut(v: int, rows: Sequence[int], full: int) -> bool:
+    """True when removing v disconnects the connected bitmask graph ``rows``."""
+    rest = full & ~(1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        while frontier:
+            b = frontier & -frontier
+            reach |= rows[b.bit_length() - 1]
+            frontier ^= b
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen != rest
+
+
+def _neighbor_degrees(row: int, deg: Sequence[int]) -> list[int]:
+    out = []
+    while row:
+        b = row & -row
+        out.append(deg[b.bit_length() - 1])
+        row ^= b
+    out.sort()
+    return out
+
+
+def _key_rivals(n: int, rows: Sequence[int]) -> Optional[int]:
+    """Pre-canon test of the new vertex n - 1 of a connected child.
+
+    The key of a vertex is its degree, then the sorted degrees of its
+    neighbors.  Returns None when some non-cut vertex has a larger key than
+    the new vertex, which then cannot share an orbit with the deletion
+    vertex; otherwise the bitmask of the other non-cut vertices whose key
+    equals the new vertex's.  The new vertex itself is never a cut vertex:
+    removing it leaves the connected parent.
+    """
+    k = n - 1
+    deg = [r.bit_count() for r in rows]
+    dk = deg[k]
+    full = (1 << n) - 1
+    level = []
+    for v in range(k):
+        d = deg[v]
+        if d > dk:
+            if not _is_cut(v, rows, full):
+                return None
+        elif d == dk:
+            level.append(v)
+    rivals = 0
+    key = None
+    for v in level:
+        if _is_cut(v, rows, full):
+            continue
+        if key is None:
+            key = _neighbor_degrees(rows[k], deg)
+        other = _neighbor_degrees(rows[v], deg)
+        if other > key:
+            return None
+        if other == key:
+            rivals |= 1 << v
+    return rivals
 
 
 def _is_min_in_orbit(s: int, perms: Sequence[Perm]) -> bool:
@@ -183,7 +222,7 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
     if n == 2 and part.shard_index != 0:
         return
 
-    split = max(2, min(n - 1, 8))
+    split = max(2, min(n - 2, 6))
     counter = 0
 
     def rec(rows: list[int], k: int, m: int, parent_gens: list[Perm]) -> Iterator[Graph]:
@@ -205,16 +244,20 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
                 continue
             child = [rows[i] | (1 << k) if (s >> i) & 1 else rows[i] for i in range(k)]
             child.append(s)
+            rivals = _key_rivals(k + 1, child)
+            if rivals is None:
+                continue
             pos, gens = canon_rows(k + 1, child)
-            cuts = _cut_mask(k + 1, child)
-            for i in range(k, -1, -1):
-                if not (cuts >> pos[i]) & 1:
-                    d_vertex = pos[i]
-                    break
-            if d_vertex != k:
-                roots = _orbit_roots(k + 1, gens)
-                if roots[k] != roots[d_vertex]:
-                    continue
+            if rivals:
+                rivals |= 1 << k
+                for i in range(k, -1, -1):
+                    if (rivals >> pos[i]) & 1:
+                        d_vertex = pos[i]
+                        break
+                if d_vertex != k:
+                    roots = _orbit_roots(k + 1, gens)
+                    if roots[k] != roots[d_vertex]:
+                        continue
             if last:
                 g = _emit(n, child, pos, filt)
                 if g is not None:

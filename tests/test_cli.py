@@ -131,6 +131,19 @@ def test_enumerate_shards_partition_the_run(runner):
     assert set(merged) == full
 
 
+def test_enumerate_output_is_sorted_for_any_jobs(runner):
+    serial = runner.invoke(main, ["enumerate", "--n", "7"])
+    pooled = runner.invoke(main, ["enumerate", "--n", "7", "--jobs", "2"])
+    assert serial.exit_code == pooled.exit_code == 0
+    assert pooled.stdout == serial.stdout
+    lines = serial.stdout.splitlines()
+    assert len(lines) == 37 and lines == sorted(lines)
+    shard = runner.invoke(main, ["enumerate", "--n", "7",
+                                 "--shards", "3", "--shard", "1"])
+    shard_lines = shard.stdout.splitlines()
+    assert shard_lines == sorted(shard_lines)
+
+
 def test_enumerate_usage_errors(runner):
     half = runner.invoke(main, ["enumerate", "--n", "7", "--shards", "3"])
     assert half.exit_code == 2

@@ -1,9 +1,11 @@
 """Isomorph-free enumeration: counts, dedup, filters, shards, ranking."""
+import hashlib
 import math
 from itertools import combinations
 
 import pytest
 
+from wienerlab import generate
 from wienerlab.canon import automorphism_group_order, canonical_form
 from wienerlab.families import cocktail_party, cycle, vertex_glued_cycles
 from wienerlab.generate import (
@@ -28,6 +30,13 @@ from wienerlab.graphs import (
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 EULERIAN_COUNTS = {3: 1, 4: 1, 5: 4, 6: 8, 7: 37, 8: 184}
 ALL_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+
+# sha256 of the newline-joined sorted graph6 lines of a whole census
+CENSUS_SHA256 = {
+    ("eulerian", 8): "f95766176dd0f4bac5757ff0ae5a0437b7d73a7d4e39ef228b33d2c679f0c0b5",
+    ("eulerian", 9): "9894624bdc5a668cc96d4a70a1b488be7fdee9265179374933c7a3db62dcbc7d",
+    ("connected", 7): "d8d2dc06ce96c6a4d2e4a53d8d1f975b269b0f11122ad7cf58df39ea3d146431",
+}
 
 
 def labeled_even_classes(n):
@@ -133,6 +142,57 @@ def test_shards_are_disjoint():
             form = graph6_encode(g)
             assert form not in seen
             seen.add(form)
+
+
+def census_digest(filt, partitions=(None,)):
+    lines = [
+        graph6_encode(g) for part in partitions for g in enumerate_graphs(filt, part)
+    ]
+    return len(lines), hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+
+
+@pytest.fixture
+def canon_calls(monkeypatch):
+    """Counts the generator's calls of canon_rows."""
+    calls = [0]
+    original = generate.canon_rows
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(generate, "canon_rows", counting)
+    return calls
+
+
+def shards(total):
+    return [EnumPartition(total_shards=total, shard_index=i) for i in range(total)]
+
+
+@pytest.mark.parametrize("kind,n,count", [
+    ("eulerian", 8, 184),
+    ("connected", 7, 853),
+])
+def test_census_contents_are_pinned(kind, n, count):
+    filt = EnumFilter(order=n, require_even_degrees=kind == "eulerian")
+    assert census_digest(filt) == (count, CENSUS_SHA256[kind, n])
+    assert census_digest(filt, shards(8)) == (count, CENSUS_SHA256[kind, n])
+
+
+def test_order_eight_canon_calls_unsharded_and_over_shards(canon_calls):
+    """Pre-canon rejection keeps the labeler off most children, and shards
+    do not each rebuild the whole tree."""
+    census_digest(EnumFilter(order=8))
+    unsharded = canon_calls[0]
+    assert unsharded <= 2000
+    canon_calls[0] = 0
+    census_digest(EnumFilter(order=8), shards(8))
+    assert canon_calls[0] <= 2 * unsharded
+
+
+def test_order_nine_census_contents_and_canon_calls(canon_calls):
+    assert census_digest(EnumFilter(order=9)) == (1782, CENSUS_SHA256["eulerian", 9])
+    assert canon_calls[0] <= 20000
 
 
 def test_size_filter():
