@@ -85,7 +85,6 @@ from .verify import (
     connected_census,
     eulerian_census,
     min_wiener_table,
-    set_default_jobs,
     verify_claim,
 )
 

@@ -5,16 +5,20 @@ Each check answers one question about Wiener indices of small Eulerian (or
 machine-readable verdict.  Exhaustive checks run inside a fixed envelope:
 full Eulerian enumeration up to order 10, unrestricted enumeration up to
 order 8; beyond that the harness reports skipped_out_of_envelope rather
-than truncating silently.  Claim ids are short protocol codes shared with
-the command line (T1, T2, L2, L3, C1, C2, T3a, T3b, T3c, P1, P2, P3, Q1,
-FIG1, GAP).
+than truncating silently.  C1, T3a-c and P2 scan census_columns(n), one
+cached pass over the connected census, and decode again only the first
+class that fails.  Claim ids are short protocol codes shared with the
+command line (T1, T2, L2, L3, C1, C2, T3a, T3b, T3c, P1, P2, P3, Q1, FIG1,
+GAP).
 """
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
+from itertools import combinations
 from multiprocessing import Pool
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .canon import canonical_form
 from .families import (
@@ -39,15 +43,14 @@ from .formulas import (
 )
 from .generate import EnumFilter, EnumPartition, enumerate_graphs
 from .graphs import (
-    Graph,
+    _dfs_lowpoints,
+    bfs_distances,
     build_graph,
     diameter,
     graph6_decode,
     graph6_encode,
     is_eulerian,
     is_even_graph,
-    is_two_connected,
-    is_two_edge_connected,
     sigma_set,
     sigma_vertex,
     wiener,
@@ -103,18 +106,11 @@ def _report(
 # Cached censuses
 
 
-_DEFAULT_JOBS = 1
 _CENSUS_SHARDS = 8
 
 _eulerian_cache: dict[int, tuple[tuple[int, int, str], ...]] = {}
 _connected_cache: dict[int, tuple[str, ...]] = {}
-
-
-def set_default_jobs(jobs: int) -> None:
-    global _DEFAULT_JOBS
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    _DEFAULT_JOBS = jobs
+_columns_cache: dict[int, "CensusColumns"] = {}
 
 
 def _eulerian_shard(args: tuple[int, int]) -> list[tuple[int, int, str]]:
@@ -135,8 +131,7 @@ def eulerian_census(n: int, jobs: Optional[int] = None) -> tuple[tuple[int, int,
         return _eulerian_cache[n]
     if not 3 <= n <= EULERIAN_ENVELOPE:
         raise ValueError(f"census supported for 3 <= n <= {EULERIAN_ENVELOPE}")
-    jobs = jobs or _DEFAULT_JOBS
-    if jobs > 1 and n >= 9:
+    if jobs and jobs > 1 and n >= 9:
         with Pool(min(jobs, _CENSUS_SHARDS)) as pool:
             parts = pool.map(_eulerian_shard, [(n, i) for i in range(_CENSUS_SHARDS)])
         rows = [row for part in parts for row in part]
@@ -159,6 +154,62 @@ def connected_census(n: int) -> tuple[str, ...]:
     frozen = tuple(sorted(graph6_encode(g) for g in enumerate_graphs(filt)))
     _connected_cache[n] = frozen
     return frozen
+
+
+class CensusColumns(NamedTuple):
+    """Invariants of the classes of connected_census(n), in census order."""
+
+    size: array
+    wiener: array
+    diameter: array
+    max_sigma: array      # largest vertex distance sum
+    max_pair: array       # largest pair distance sum; 0 unless 2-connected
+    biconnected: array    # 2-connected
+    bridgeless: array     # 2-edge-connected
+
+
+def census_columns(n: int) -> CensusColumns:
+    """One cached pass over connected_census(n): each class is decoded once,
+    gets one lowpoint DFS and one BFS per vertex."""
+    if n in _columns_cache:
+        return _columns_cache[n]
+    cols = CensusColumns(*(array("H") for _ in CensusColumns._fields))
+    for g6 in connected_census(n):
+        g = graph6_decode(g6)
+        cuts, bridges, _ = _dfs_lowpoints(g)
+        rows = [bfs_distances(g, v) for v in range(n)]
+        sums = [sum(row) for row in rows]
+        biconnected = n >= 3 and not cuts
+        # on a connected graph sigma_set(g, {u, w}) is the sum of the row minima
+        pair = max(sum(map(min, rows[u], rows[w]))
+                   for u, w in combinations(range(n), 2)) if biconnected else 0
+        values = (g.m, sum(sums) // 2, max(map(max, rows)), max(sums), pair,
+                  biconnected, not bridges)
+        for col, value in zip(cols, values):
+            col.append(value)
+    _columns_cache[n] = cols
+    return cols
+
+
+def _first_above(col: array, cap: int, flags: array) -> Optional[int]:
+    """Census index of the first flagged class whose value exceeds cap."""
+    return next((i for i, (f, v) in enumerate(zip(flags, col)) if f and v > cap), None)
+
+
+def _sum_violation(claim_id: str, params: dict, n: int, col: array, flags: array,
+                  size: int, cap: int, t0: float) -> Optional[ClaimReport]:
+    """Report on the first flagged class above cap, naming its first vertex
+    (size 1) or pair (size 2) with distance sum above cap; else None."""
+    i = _first_above(col, cap, flags)
+    if i is None:
+        return None
+    g6 = connected_census(n)[i]
+    g = graph6_decode(g6)
+    a, s = next((a, s) for a in combinations(range(g.n), size)
+                for s in [sigma_set(g, a)] if s > cap)
+    where = f"vertex {a[0]}" if size == 1 else f"pair ({a[0]},{a[1]})"
+    return _report(claim_id, params, VIOLATED, (g6,),
+                   f"{where} has distance sum {s} > {cap}", t0)
 
 
 def _second_place(n: int, jobs: Optional[int]) -> tuple[int, tuple[str, ...]]:
@@ -410,25 +461,12 @@ def verify_C1(n: int) -> ClaimReport:
         return _report("C1", params, SKIPPED, (),
                        f"exhaustive check requires n <= {GENERAL_ENVELOPE}", t0)
     bound = sigma_set(cycle(n), {0, 1})
-    checked = 0
-    for g6 in connected_census(n):
-        g = graph6_decode(g6)
-        if not is_two_connected(g):
-            continue
-        checked += 1
-        for u in range(n):
-            for w in range(u + 1, n):
-                s = sigma_set(g, {u, w})
-                if s > bound:
-                    return _report(
-                        "C1", params, VIOLATED, (g6,),
-                        f"pair ({u},{w}) has distance sum {s} > {bound}",
-                        t0,
-                    )
-    return _report(
+    cols = census_columns(n)
+    bad = _sum_violation("C1", params, n, cols.max_pair, cols.biconnected, 2, bound, t0)
+    return bad or _report(
         "C1", params, VERIFIED, (),
-        f"all pairs in {checked} two-connected graphs stay at or below the "
-        f"cycle's adjacent-pair value {bound}",
+        f"all pairs in {sum(cols.biconnected)} two-connected graphs stay at or "
+        f"below the cycle's adjacent-pair value {bound}",
         t0,
     )
 
@@ -443,14 +481,17 @@ def verify_C2(n: int) -> ClaimReport:
     if n > TRIANGLE_ENVELOPE:
         return _report("C2", params, SKIPPED, (),
                        f"placement sweep supported for n <= {TRIANGLE_ENVELOPE}", t0)
+    if n < 6:
+        return _report("C2", params, VERIFIED, (),
+                       "no off-cycle triangle placement exists; vacuously true", t0)
     ring = [(i, (i + 1) % n) for i in range(n)]
+    cap = wiener_vertex_glued_triangle(n)
     placements = 0
     for j in range(2, n - 3):
         for k in range(j + 2, n - 1):
             placements += 1
             g = build_graph(n, ring + [(0, j), (j, k), (0, k)])
             w = wiener(g)
-            cap = wiener_vertex_glued_triangle(n)
             if not w < cap:
                 return _report(
                     "C2", params, VIOLATED, (canonical_form(g),),
@@ -458,13 +499,10 @@ def verify_C2(n: int) -> ClaimReport:
                     f"not below {cap}",
                     t0,
                 )
-    if placements == 0:
-        return _report("C2", params, VERIFIED, (),
-                       "no off-cycle triangle placement exists; vacuously true", t0)
     return _report(
         "C2", params, VERIFIED, (),
         f"all {placements} triangle placements (up to rotation) stay below "
-        f"W = {wiener_vertex_glued_triangle(n)}",
+        f"W = {cap}",
         t0,
     )
 
@@ -480,19 +518,13 @@ def verify_T3a(n: int) -> ClaimReport:
                        f"exhaustive check requires n <= {GENERAL_ENVELOPE}", t0)
     cap = connectivity_bounds(n)["max_wiener_two_edge_connected"]
     cyc = canonical_form(cycle(n))
-    attainers = []
-    checked = 0
-    for g6 in connected_census(n):
-        g = graph6_decode(g6)
-        if not is_two_edge_connected(g):
-            continue
-        checked += 1
-        w = wiener(g)
-        if w > cap:
-            return _report("T3a", params, VIOLATED, (g6,),
-                           f"W = {w} exceeds the cap {cap}", t0)
-        if w == cap:
-            attainers.append(g6)
+    census, cols = connected_census(n), census_columns(n)
+    i = _first_above(cols.wiener, cap, cols.bridgeless)
+    if i is not None:
+        return _report("T3a", params, VIOLATED, (census[i],),
+                       f"W = {cols.wiener[i]} exceeds the cap {cap}", t0)
+    attainers = [g6 for g6, f, w in zip(census, cols.bridgeless,
+                                        cols.wiener) if f and w == cap]
     if attainers != [cyc]:
         return _report(
             "T3a", params, VIOLATED, tuple(sorted(attainers)) or (cyc,),
@@ -501,8 +533,8 @@ def verify_T3a(n: int) -> ClaimReport:
         )
     return _report(
         "T3a", params, VERIFIED, (cyc,),
-        f"{checked} two-edge-connected graphs; W <= {cap} with the cycle the "
-        "sole equality case",
+        f"{sum(cols.bridgeless)} two-edge-connected graphs; W <= {cap} "
+        "with the cycle the sole equality case",
         t0,
     )
 
@@ -524,24 +556,12 @@ def verify_T3b(n: int) -> ClaimReport:
             f"cycle vertex distance sum {cycle_sigma} misses the cap {cap}",
             t0,
         )
-    checked = 0
-    for g6 in connected_census(n):
-        g = graph6_decode(g6)
-        if not is_two_connected(g):
-            continue
-        checked += 1
-        for v in range(n):
-            s = sigma_vertex(g, v)
-            if s > cap:
-                return _report(
-                    "T3b", params, VIOLATED, (g6,),
-                    f"vertex {v} has distance sum {s} > {cap}",
-                    t0,
-                )
-    return _report(
+    cols = census_columns(n)
+    bad = _sum_violation("T3b", params, n, cols.max_sigma, cols.biconnected, 1, cap, t0)
+    return bad or _report(
         "T3b", params, VERIFIED, (),
-        f"all vertices of {checked} two-connected graphs stay at or below "
-        f"{cap}; the cycle attains it",
+        f"all vertices of {sum(cols.biconnected)} two-connected graphs stay "
+        f"at or below {cap}; the cycle attains it",
         t0,
     )
 
@@ -556,24 +576,12 @@ def verify_T3c(n: int) -> ClaimReport:
         return _report("T3c", params, SKIPPED, (),
                        f"exhaustive check requires n <= {GENERAL_ENVELOPE}", t0)
     cap = connectivity_bounds(n)["max_sigma_two_edge_connected"]
-    checked = 0
-    for g6 in connected_census(n):
-        g = graph6_decode(g6)
-        if not is_two_edge_connected(g):
-            continue
-        checked += 1
-        for v in range(n):
-            s = sigma_vertex(g, v)
-            if s > cap:
-                return _report(
-                    "T3c", params, VIOLATED, (g6,),
-                    f"vertex {v} has distance sum {s} > {cap}",
-                    t0,
-                )
-    return _report(
+    cols = census_columns(n)
+    bad = _sum_violation("T3c", params, n, cols.max_sigma, cols.bridgeless, 1, cap, t0)
+    return bad or _report(
         "T3c", params, VERIFIED, (),
-        f"all vertices of {checked} two-edge-connected graphs stay at or "
-        f"below {cap}",
+        f"all vertices of {sum(cols.bridgeless)} two-edge-connected "
+        f"graphs stay at or below {cap}",
         t0,
     )
 
@@ -620,26 +628,18 @@ def verify_P2(n: int) -> ClaimReport:
     if n > GENERAL_ENVELOPE:
         return _report("P2", params, SKIPPED, (),
                        f"exhaustive check requires n <= {GENERAL_ENVELOPE}", t0)
-    checked = 0
-    for g6 in connected_census(n):
-        g = graph6_decode(g6)
-        checked += 1
-        w = wiener(g)
-        floor = wiener_lower_bound(n, g.m)
-        d = diameter(g)
+    census, cols = connected_census(n), census_columns(n)
+    for g6, m, w, d in zip(census, cols.size, cols.wiener, cols.diameter):
+        floor = wiener_lower_bound(n, m)
         if w < floor:
             return _report("P2", params, VIOLATED, (g6,),
                            f"W = {w} below the floor {floor}", t0)
         if (w == floor) != (d <= 2):
-            return _report(
-                "P2", params, VIOLATED, (g6,),
-                f"equality/diameter mismatch: W = {w}, floor = {floor}, "
-                f"diameter = {d}",
-                t0,
-            )
+            return _report("P2", params, VIOLATED, (g6,), "equality/diameter mismatch: "
+                           f"W = {w}, floor = {floor}, diameter = {d}", t0)
     return _report(
         "P2", params, VERIFIED, (),
-        f"bound and equality characterization hold on all {checked} "
+        f"bound and equality characterization hold on all {len(census)} "
         "connected graphs",
         t0,
     )

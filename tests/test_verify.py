@@ -1,6 +1,10 @@
 """Claim harness: censuses, per-claim verdicts, the minimum-Wiener table."""
+from itertools import combinations
+
+import networkx as nx
 import pytest
 
+from wienerlab import verify
 from wienerlab.canon import canonical_form
 from wienerlab.families import (
     cocktail_party,
@@ -11,7 +15,18 @@ from wienerlab.families import (
     vertex_glued_cycles,
 )
 from wienerlab.formulas import min_wiener_eulerian, wiener_cycle
-from wienerlab.graphs import graph6_decode, is_eulerian, is_even_graph, wiener
+from wienerlab.graphs import (
+    bfs_distances,
+    diameter,
+    graph6_decode,
+    is_eulerian,
+    is_even_graph,
+    is_two_connected,
+    is_two_edge_connected,
+    sigma_set,
+    sigma_vertex,
+    wiener,
+)
 from wienerlab.verify import (
     CLAIM_IDS,
     CLAIM_VERIFIERS,
@@ -20,10 +35,10 @@ from wienerlab.verify import (
     SKIPPED,
     VERIFIED,
     VIOLATED,
+    census_columns,
     connected_census,
     eulerian_census,
     min_wiener_table,
-    set_default_jobs,
     verify_claim,
     verify_C1,
     verify_C2,
@@ -66,12 +81,6 @@ def test_census_domain_errors():
     with pytest.raises(ValueError):
         connected_census(GENERAL_ENVELOPE + 1)
     assert len(connected_census(5)) == 21
-
-
-def test_set_default_jobs_validation():
-    with pytest.raises(ValueError):
-        set_default_jobs(0)
-    set_default_jobs(1)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -239,6 +248,118 @@ def test_size_adjusted_floor_envelope():
     assert verify_P2(GENERAL_ENVELOPE + 1).status == SKIPPED
     with pytest.raises(ValueError):
         verify_P2(0)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_columns_match_direct_computation(n):
+    census, cols = connected_census(n), census_columns(n)
+    assert [len(col) for col in cols] == [len(census)] * len(cols)
+    for i, g6 in enumerate(census):
+        g = graph6_decode(g6)
+        rows = [bfs_distances(g, v) for v in range(n)]
+        pair_sums = []
+        for u, w in combinations(range(n), 2):
+            s = sigma_set(g, {u, w})
+            assert sum(map(min, rows[u], rows[w])) == s
+            pair_sums.append(s)
+        biconnected = is_two_connected(g)
+        expected = (g.m, wiener(g), diameter(g),
+                    max(sigma_vertex(g, v) for v in range(n)),
+                    max(pair_sums) if biconnected else 0,
+                    biconnected, is_two_edge_connected(g))
+        assert tuple(col[i] for col in cols) == expected, g6
+        if n <= 6:
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(n))
+            assert (cols.wiener[i], cols.diameter[i], cols.bridgeless[i]) \
+                == (nx.wiener_index(h), nx.diameter(h), not nx.has_bridges(h))
+            assert cols.biconnected[i] == (n >= 3 and nx.is_biconnected(h))
+
+
+# Whole reports of the five distance-sum claims over the order-8 census.
+ORDER_EIGHT_REPORTS = {
+    "C1": (VERIFIED, (), "all pairs in 7123 two-connected graphs stay at or "
+           "below the cycle's adjacent-pair value 12"),
+    "T3a": (VERIFIED, ("G?LTE?",), "7403 two-edge-connected graphs; W <= 64 "
+            "with the cycle the sole equality case"),
+    "T3b": (VERIFIED, (), "all vertices of 7123 two-connected graphs stay at "
+            "or below 16; the cycle attains it"),
+    "T3c": (VERIFIED, (), "all vertices of 7403 two-edge-connected graphs stay "
+            "at or below 18"),
+    "P2": (VERIFIED, (), "bound and equality characterization hold on all "
+           "11117 connected graphs"),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(ORDER_EIGHT_REPORTS))
+def test_distance_sum_reports_at_order_eight(claim):
+    report = verify_claim(claim, n=8)
+    assert (report.status, report.witnesses, report.notes) == ORDER_EIGHT_REPORTS[claim]
+
+
+def _shift(monkeypatch, name, delta, key=None):
+    """Offset what verify.<name> returns (or its entry ``key``) by delta."""
+    original = getattr(verify, name)
+
+    def shifted(*args):
+        value = original(*args)
+        if key is None:
+            return value + delta
+        return {**value, key: value[key] + delta}
+
+    monkeypatch.setattr(verify, name, shifted)
+
+
+def _shift_on_cycle(monkeypatch, name, delta):
+    """Offset verify.<name>(g, ...) by delta only when g is a graph that
+    verify.cycle built, so census graphs keep their true values."""
+    built = []
+
+    def tracked_cycle(n):
+        g = cycle(n)
+        built.append(g)
+        return g
+
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, "cycle", tracked_cycle)
+    monkeypatch.setattr(verify, name, lambda g, arg: original(g, arg) + (
+        delta if any(g is c for c in built) else 0))
+
+
+_CAPS = {"T3a": "max_wiener_two_edge_connected",
+         "T3b": "max_sigma_two_connected",
+         "T3c": "max_sigma_two_edge_connected"}
+
+# (claim, patch, report) at order 6; each report is what the per-claim
+# loops of the earlier implementation gave under the same patch.
+VIOLATIONS_AT_SIX = [
+    ("C1", lambda mp: _shift_on_cycle(mp, "sigma_set", -1),
+     ("E?~o",), "pair (0,1) has distance sum 6 > 5"),
+    ("T3a", lambda mp: _shift(mp, "connectivity_bounds", -1, _CAPS["T3a"]),
+     ("EBj?",), "W = 27 exceeds the cap 26"),
+    ("T3a", lambda mp: _shift(mp, "connectivity_bounds", +1, _CAPS["T3a"]),
+     ("EBj?",), "graphs attaining W = 28: [], expected the cycle alone"),
+    ("T3b", lambda mp: _shift(mp, "connectivity_bounds", -1, _CAPS["T3b"]),
+     ("EBj?",), "cycle vertex distance sum 9 misses the cap 8"),
+    ("T3b", lambda mp: (_shift(mp, "connectivity_bounds", -1, _CAPS["T3b"]),
+                        _shift_on_cycle(mp, "sigma_vertex", -1)),
+     ("EBj?",), "vertex 0 has distance sum 9 > 8"),
+    ("T3c", lambda mp: _shift(mp, "connectivity_bounds", -1, _CAPS["T3c"]),
+     ("E@ro",), "vertex 4 has distance sum 10 > 9"),
+    ("P2", lambda mp: _shift(mp, "wiener_lower_bound", -1),
+     ("E?Bw",), "equality/diameter mismatch: W = 25, floor = 24, diameter = 2"),
+    ("P2", lambda mp: _shift(mp, "wiener_lower_bound", +1),
+     ("E?Bw",), "W = 25 below the floor 26"),
+]
+
+
+@pytest.mark.parametrize("claim,patch,witnesses,notes", VIOLATIONS_AT_SIX)
+def test_distance_sum_violations_name_the_first_witness(
+        monkeypatch, claim, patch, witnesses, notes):
+    patch(monkeypatch)
+    report = verify_claim(claim, n=6)
+    assert (report.status, report.witnesses, report.notes) == (
+        VIOLATED, witnesses, notes)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
