@@ -52,17 +52,13 @@ from .generate import (
 )
 from .graphs import (
     BlockDecomposition,
-    Branch,
-    DistanceProfile,
     Graph,
     bfs_distances,
     block_decomposition,
-    branches,
     bridges,
     build_graph,
     cut_vertices,
     diameter,
-    distance_profile,
     from_adjacency_masks,
     graph6_decode,
     graph6_encode,
@@ -74,7 +70,6 @@ from .graphs import (
     relabel,
     sigma_set,
     sigma_vertex,
-    structural_predicates,
     wiener,
 )
 from .verify import (

@@ -157,28 +157,16 @@ def _search(
     return best_pos, gens
 
 
-def canon_rows(
-    n: int, rows: Sequence[int], colors: Optional[Sequence[int]] = None
-) -> tuple[Perm, list[Perm]]:
+def canon_rows(n: int, rows: Sequence[int]) -> tuple[Perm, list[Perm]]:
     """Canonicalize a bitmask-adjacency graph.
 
     Returns ``(order, generators)`` where ``order[i]`` is the original vertex
     placed at canonical position ``i``, and the generators generate the
-    (color-preserving) automorphism group.  ``colors``, when given, is an
-    initial vertex coloring; cells are ordered by ascending color value.
+    automorphism group.
     """
     if n == 0:
         return (), []
-    if colors is None:
-        cells = [list(range(n))]
-    else:
-        if len(colors) != n:
-            raise ValueError("colors length must equal vertex count")
-        by_color: dict[int, list[int]] = {}
-        for v in range(n):
-            by_color.setdefault(colors[v], []).append(v)
-        cells = [by_color[c] for c in sorted(by_color)]
-    pos, gens = _search(n, rows, _refine(rows, cells))
+    pos, gens = _search(n, rows, _refine(rows, [list(range(n))]))
     return tuple(pos), gens
 
 

@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from multiprocessing import Pool
 from typing import Optional
 
 import click
@@ -29,15 +28,15 @@ from .canon import canonical_form
 from .families import FAMILIES
 from .formulas import FORMULAS, second_place_gap_numerator
 from .generate import (
+    SHARDS as _INTERNAL_SHARDS,  # read by perfbench's traced pool run
     EnumFilter,
     EnumPartition,
     enumerate_graphs,
     extremal_scan,
+    map_shards,
 )
 from .graphs import Graph, graph6_decode, graph6_encode, is_connected, wiener
 from .verify import ClaimReport, CLAIM_IDS, min_wiener_table, verify_claim
-
-_INTERNAL_SHARDS = 8
 
 
 def _fail_usage(message: str) -> None:
@@ -171,8 +170,8 @@ def _shard_g6(args: tuple[dict, int, int]) -> list[str]:
     return [graph6_encode(g) for g in enumerate_graphs(filt, part)]
 
 
-def _shard_rank(args: tuple[dict, int, int, str, int]) -> list[tuple[int, str]]:
-    filt_kw, total, index, objective, top = args
+def _shard_rank(args: tuple[tuple[dict, str, int], int, int]) -> list[tuple[int, str]]:
+    (filt_kw, objective, top), total, index = args
     filt = EnumFilter(**filt_kw)
     part = EnumPartition(total_shards=total, shard_index=index)
     return [(e.wiener, e.graph6) for e in extremal_scan(filt, objective, top, part)]
@@ -180,8 +179,7 @@ def _shard_rank(args: tuple[dict, int, int, str, int]) -> list[tuple[int, str]]:
 
 def _build_filter(n: int, m: Optional[int]) -> EnumFilter:
     size_range = (m, m) if m is not None else None
-    return EnumFilter(order=n, require_connected=True,
-                      require_even_degrees=True, size_range=size_range)
+    return EnumFilter(order=n, require_even_degrees=True, size_range=size_range)
 
 
 @main.command("enumerate")
@@ -191,7 +189,7 @@ def _build_filter(n: int, m: Optional[int]) -> EnumFilter:
 @click.option("--shards", type=int, default=None, help="total shards")
 @click.option("--shard", type=int, default=None, help="this shard's index")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="worker processes (ignores --shards/--shard)")
+              help="worker processes; ignored when --shards/--shard are given")
 @click.option("--format", "fmt", type=click.Choice(["g6", "text", "json"]),
               default="g6", show_default=True)
 def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
@@ -206,12 +204,7 @@ def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
         if jobs > 1 and shards is None:
             kw = {"order": filt.order, "require_even_degrees": True,
                   "size_range": filt.size_range}
-            with Pool(min(jobs, _INTERNAL_SHARDS)) as pool:
-                parts = pool.map(
-                    _shard_g6,
-                    [(kw, _INTERNAL_SHARDS, i) for i in range(_INTERNAL_SHARDS)],
-                )
-            lines = [line for part in parts for line in part]
+            lines = map_shards(_shard_g6, kw, jobs)
         else:
             part = (EnumPartition(total_shards=shards, shard_index=shard)
                     if shards is not None else None)
@@ -246,16 +239,9 @@ def cmd_rank(n: int, top: int, objective: str, jobs: int, fmt: str) -> None:
         filt.validate()
         if jobs > 1:
             kw = {"order": filt.order, "require_even_degrees": True}
-            with Pool(min(jobs, _INTERNAL_SHARDS)) as pool:
-                parts = pool.map(
-                    _shard_rank,
-                    [(kw, _INTERNAL_SHARDS, i, obj, top)
-                     for i in range(_INTERNAL_SHARDS)],
-                )
             pool_entries: dict[int, set[str]] = {}
-            for part in parts:
-                for w, g6 in part:
-                    pool_entries.setdefault(w, set()).add(g6)
+            for w, g6 in map_shards(_shard_rank, (kw, obj, top), jobs):
+                pool_entries.setdefault(w, set()).add(g6)
             sign = -1 if obj == "max_wiener" else 1
             keep = sorted(pool_entries, key=lambda w: sign * w)[:top]
             entries = [(w, g6) for w in keep for g6 in sorted(pool_entries[w])]

@@ -22,52 +22,37 @@ canonical order and the next level's orbit dedup their automorphisms; the
 orbit test itself runs only when another non-cut vertex ties the new
 vertex's key.
 
-The search tree ranges over connected graphs; predicate filters apply at
-emission, except for two pushed-down prunings on the hot Eulerian path:
-when all degrees must end up even, the last vertex's neighborhood is forced
-to be exactly the set of odd-degree vertices, and a size ceiling prunes
-subtrees whose edge budget is already exhausted.
+The search tree ranges over connected graphs.  When all degrees must end
+up even, the last vertex's neighborhood is forced to be exactly the set of
+odd-degree vertices, and a size ceiling prunes subtrees whose edge budget is
+already exhausted; the size filter itself is the only test at emission.
 
 Shards split the tree round-robin over the nodes of order
 max(2, min(n - 2, 6)); every shard rebuilds the levels above that split,
 which stay small.  Which classes land in which shard depends on the split
 and the deletion rule; only the union of the shards is guaranteed.
+:func:`map_shards` runs the SHARDS shards of one task on a process pool.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import Perm, _orbit_roots, canon_rows
-from .graphs import (
-    Graph,
-    build_graph,
-    diameter,
-    from_adjacency_masks,
-    is_two_connected,
-    is_two_edge_connected,
-    relabel,
-)
+from .graphs import Graph, from_adjacency_masks, relabel
 
 MAX_ORDER = 12
+SHARDS = 8   # the split of every --jobs run, whatever the worker count
 
 
 @dataclass(frozen=True)
 class EnumFilter:
-    """What to generate: order plus structural requirements.
-
-    size_range bounds the edge count inclusively; diameter_max implies
-    connectivity.  two_connected/two_edge_connected are emission filters.
-    """
+    """What to generate: connected graphs of one order, optionally with all
+    degrees even; size_range bounds the edge count inclusively."""
 
     order: int
-    require_connected: bool = True
     require_even_degrees: bool = True
-    require_two_connected: bool = False
-    require_two_edge_connected: bool = False
     size_range: Optional[tuple[int, int]] = None
-    diameter_max: Optional[int] = None
 
     def validate(self) -> None:
         if not 1 <= self.order <= MAX_ORDER:
@@ -78,8 +63,6 @@ class EnumFilter:
             lo, hi = self.size_range
             if not 0 <= lo <= hi <= self.order * (self.order - 1) // 2:
                 raise ValueError(f"bad size_range {self.size_range}")
-        if self.diameter_max is not None and self.diameter_max < 0:
-            raise ValueError("diameter_max must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -188,20 +171,12 @@ def _is_min_in_orbit(s: int, perms: Sequence[Perm]) -> bool:
 
 
 def _emit(n: int, rows: list[int], pos: Perm, filt: EnumFilter) -> Optional[Graph]:
-    """Apply emission filters; return the canonically relabeled graph or None."""
+    """Apply the size filter; return the canonically relabeled graph or None."""
     if filt.size_range is not None:
         m = sum(r.bit_count() for r in rows) // 2
         if not filt.size_range[0] <= m <= filt.size_range[1]:
             return None
     g = from_adjacency_masks(n, rows)
-    if filt.require_two_connected and not is_two_connected(g):
-        return None
-    if filt.require_two_edge_connected and not is_two_edge_connected(g):
-        return None
-    if filt.diameter_max is not None:
-        d = diameter(g)
-        if d is None or d > filt.diameter_max:
-            return None
     cperm = [0] * n
     for i, v in enumerate(pos):
         cperm[v] = i
@@ -273,73 +248,6 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
     yield from rec([0], 1, 0, [])
 
 
-def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-    """Integer partitions of n with parts <= largest, descending parts."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _disconnected_stream(filt: EnumFilter) -> Iterator[Graph]:
-    """All graphs (not only connected): multisets of connected components."""
-    from .canon import canonical_permutation
-
-    n = filt.order
-    pools: dict[int, list[Graph]] = {}
-    for j in range(1, n + 1):
-        sub = EnumFilter(order=j, require_even_degrees=filt.require_even_degrees)
-        pools[j] = list(_connected_stream(sub, EnumPartition()))
-    for shape in _partitions(n, n):
-        groups = []
-        for size in sorted(set(shape), reverse=True):
-            count = shape.count(size)
-            groups.append(
-                list(combinations_with_replacement(range(len(pools[size])), count))
-            )
-        sizes = sorted(set(shape), reverse=True)
-
-        def assemble(gi: int, chosen: list[Graph]) -> Iterator[Graph]:
-            if gi == len(sizes):
-                edges = []
-                base = 0
-                for comp in chosen:
-                    edges.extend((u + base, v + base) for u, v in comp.edges())
-                    base += comp.n
-                g = build_graph(n, edges)
-                if len(chosen) == 1:
-                    yield g
-                    return
-                out = _emit_union(g, filt)
-                if out is not None:
-                    yield out
-            else:
-                for combo in groups[gi]:
-                    picked = [pools[sizes[gi]][i] for i in combo]
-                    yield from assemble(gi + 1, chosen + picked)
-
-        def _emit_union(g: Graph, f: EnumFilter) -> Optional[Graph]:
-            if f.size_range is not None and not (
-                f.size_range[0] <= g.m <= f.size_range[1]
-            ):
-                return None
-            if f.require_two_connected or f.require_two_edge_connected:
-                return None
-            if f.diameter_max is not None:
-                return None
-            return relabel(g, canonical_permutation(g))
-
-        if len(shape) == 1:
-            for g in pools[n]:
-                out = _emit(n, g.adjacency_masks(), tuple(range(n)), filt)
-                if out is not None:
-                    yield out
-        else:
-            yield from assemble(0, [])
-
-
 def enumerate_graphs(
     filt: EnumFilter, partition: Optional[EnumPartition] = None
 ) -> Iterator[Graph]:
@@ -351,18 +259,25 @@ def enumerate_graphs(
     filt.validate()
     part = partition or EnumPartition()
     part.validate()
-    if filt.require_connected:
-        yield from _connected_stream(filt, part)
-    else:
-        if part.total_shards != 1:
-            raise ValueError("sharding is only supported for connected runs")
-        yield from _disconnected_stream(filt)
+    yield from _connected_stream(filt, part)
 
 
 def count_graphs(
     filt: EnumFilter, partition: Optional[EnumPartition] = None
 ) -> int:
     return sum(1 for _ in enumerate_graphs(filt, partition))
+
+
+def map_shards(worker: Callable[[tuple], list], args: object, jobs: int) -> list:
+    """Run ``worker((args, SHARDS, i))`` for every shard i on min(jobs, SHARDS)
+    processes and concatenate the results in shard order.  ``worker`` must be
+    a module-level function so that the pool can pickle it."""
+    # imported here, not at the top: commands that never fan out stay smaller
+    from multiprocessing import Pool
+
+    with Pool(min(jobs, SHARDS)) as pool:
+        parts = pool.map(worker, [(args, SHARDS, i) for i in range(SHARDS)])
+    return [item for part in parts for item in part]
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adj)
-
     def edges(self) -> list[Edge]:
         """Sorted list of edges as (u, v) pairs with u < v."""
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
@@ -116,39 +113,6 @@ def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
                 dist[v] = du + 1  # type: ignore[operator]
                 q.append(v)
     return dist
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """BFS view from one vertex.
-
-    ``dist[u]`` is the distance from the source to u (None if unreachable);
-    ``layer_sizes[i]`` counts the vertices at distance exactly i, so
-    ``layer_sizes[0] == 1`` and ``sigma == sum(i * layer_sizes[i])``.
-    Unreachable vertices are excluded from layer_sizes, sigma, and
-    eccentricity.
-    """
-
-    source: int
-    dist: tuple[Optional[int], ...]
-    layer_sizes: tuple[int, ...]
-    sigma: int
-    eccentricity: int
-
-
-def distance_profile(g: Graph, v: int) -> DistanceProfile:
-    """Distances, BFS layer counts, total distance, and eccentricity of v."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    dist = bfs_distances(g, v)
-    ecc = max(d for d in dist if d is not None)
-    layers = [0] * (ecc + 1)
-    sigma = 0
-    for d in dist:
-        if d is not None:
-            layers[d] += 1
-            sigma += d
-    return DistanceProfile(v, tuple(dist), tuple(layers), sigma, ecc)
 
 
 def diameter(g: Graph) -> Optional[int]:
@@ -374,59 +338,6 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     return BlockDecomposition(ordered, cutset, flags)
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One connected component of g - S with its attachment vertices in S."""
-
-    vertices: frozenset[int]
-    attachments: frozenset[int]
-
-
-def branches(g: Graph, separator: Iterable[int]) -> list[Branch]:
-    """Connected components left after deleting ``separator``, each with the
-    separator vertices it touches."""
-    s = set(separator)
-    if not s <= set(range(g.n)):
-        raise ValueError("separator out of range")
-    seen = set(s)
-    out: list[Branch] = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        q = deque([start])
-        attach: set[int] = set()
-        while q:
-            u = q.popleft()
-            for v in g.adj[u]:
-                if v in s:
-                    attach.add(v)
-                elif v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    q.append(v)
-        out.append(Branch(frozenset(comp), frozenset(attach)))
-    return sorted(out, key=lambda b: min(b.vertices))
-
-
-def structural_predicates(g: Graph) -> dict:
-    """One-stop record of the structural predicates used across the package.
-
-    ``diameter`` is None for disconnected graphs.
-    """
-    conn = is_connected(g)
-    even = is_even_graph(g)
-    return {
-        "connected": conn,
-        "even_degrees": even,
-        "eulerian": conn and even,
-        "two_connected": is_two_connected(g),
-        "two_edge_connected": is_two_edge_connected(g),
-        "diameter": diameter(g),
-    }
-
-
 # ---------------------------------------------------------------------------
 # graph6 codec
 
@@ -472,13 +383,14 @@ def graph6_decode(text: str) -> Graph:
     if data[0] == 126:
         if len(data) < 4 or data[1] == 126:
             raise ValueError("unsupported graph6 size prefix")
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
+        size, body = data[1:4], data[4:]
     else:
-        n = data[0] - 63
-        body = data[1:]
-    if n < 0:
-        raise ValueError("bad graph6 size byte")
+        size, body = data[:1], data[1:]
+    n = 0
+    for ch in size:
+        if not 63 <= ch <= 126:
+            raise ValueError(f"bad graph6 size byte {ch}")
+        n = (n << 6) | (ch - 63)
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ValueError(

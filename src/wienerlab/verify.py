@@ -17,7 +17,6 @@ import time
 from array import array
 from dataclasses import dataclass
 from itertools import combinations
-from multiprocessing import Pool
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .canon import canonical_form
@@ -41,7 +40,7 @@ from .formulas import (
     wiener_lower_bound,
     wiener_vertex_glued_triangle,
 )
-from .generate import EnumFilter, EnumPartition, enumerate_graphs
+from .generate import EnumFilter, EnumPartition, enumerate_graphs, map_shards
 from .graphs import (
     _dfs_lowpoints,
     bfs_distances,
@@ -106,17 +105,15 @@ def _report(
 # Cached censuses
 
 
-_CENSUS_SHARDS = 8
-
 _eulerian_cache: dict[int, tuple[tuple[int, int, str], ...]] = {}
 _connected_cache: dict[int, tuple[str, ...]] = {}
 _columns_cache: dict[int, "CensusColumns"] = {}
 
 
-def _eulerian_shard(args: tuple[int, int]) -> list[tuple[int, int, str]]:
-    n, index = args
+def _eulerian_shard(args: tuple[int, int, int]) -> list[tuple[int, int, str]]:
+    n, total, index = args
     filt = EnumFilter(order=n, require_even_degrees=True)
-    part = EnumPartition(total_shards=_CENSUS_SHARDS, shard_index=index)
+    part = EnumPartition(total_shards=total, shard_index=index)
     return [(wiener(g), g.m, graph6_encode(g)) for g in enumerate_graphs(filt, part)]
 
 
@@ -132,9 +129,7 @@ def eulerian_census(n: int, jobs: Optional[int] = None) -> tuple[tuple[int, int,
     if not 3 <= n <= EULERIAN_ENVELOPE:
         raise ValueError(f"census supported for 3 <= n <= {EULERIAN_ENVELOPE}")
     if jobs and jobs > 1 and n >= 9:
-        with Pool(min(jobs, _CENSUS_SHARDS)) as pool:
-            parts = pool.map(_eulerian_shard, [(n, i) for i in range(_CENSUS_SHARDS)])
-        rows = [row for part in parts for row in part]
+        rows = map_shards(_eulerian_shard, n, jobs)
     else:
         filt = EnumFilter(order=n, require_even_degrees=True)
         rows = [(wiener(g), g.m, graph6_encode(g)) for g in enumerate_graphs(filt)]

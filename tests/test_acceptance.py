@@ -10,7 +10,6 @@ program that reported either claimed tie would fail them.
 import random
 import re
 import time
-from multiprocessing import Pool
 
 from click.testing import CliRunner
 
@@ -34,6 +33,7 @@ from wienerlab.generate import (
     count_graphs,
     enumerate_graphs,
     extremal_scan,
+    map_shards,
 )
 from wienerlab.graphs import (
     build_graph,
@@ -141,12 +141,9 @@ def test_criterion_04_cycle_uniquely_maximizes_through_order_nine():
         ], f"order {n}"
     t0 = time.perf_counter()
     kw = {"order": 9, "require_even_degrees": True}
-    with Pool(8) as pool:
-        parts = pool.map(
-            _shard_rank, [(kw, 8, i, "max_wiener", 1) for i in range(8)]
-        )
-    best = max(w for part in parts for w, _ in part)
-    attainers = sorted({g6 for part in parts for w, g6 in part if w == best})
+    entries = map_shards(_shard_rank, (kw, "max_wiener", 1), jobs=8)
+    best = max(w for w, _ in entries)
+    attainers = sorted({g6 for w, g6 in entries if w == best})
     elapsed = time.perf_counter() - t0
     assert (best, attainers) == (wiener_cycle(9), [canonical_form(cycle(9))])
     assert elapsed < 240.0, f"order-9 scan took {elapsed:.1f}s"

@@ -144,6 +144,16 @@ def test_enumerate_output_is_sorted_for_any_jobs(runner):
     assert shard_lines == sorted(shard_lines)
 
 
+def test_enumerate_jobs_is_ignored_with_shards(runner):
+    plain = runner.invoke(main, ["enumerate", "--n", "6",
+                                 "--shards", "3", "--shard", "0"])
+    pooled = runner.invoke(main, ["enumerate", "--n", "6", "--jobs", "2",
+                                  "--shards", "3", "--shard", "0"])
+    assert plain.exit_code == pooled.exit_code == 0
+    assert pooled.stdout == plain.stdout
+    assert 0 < len(plain.stdout.splitlines()) < 8
+
+
 def test_enumerate_usage_errors(runner):
     half = runner.invoke(main, ["enumerate", "--n", "7", "--shards", "3"])
     assert half.exit_code == 2

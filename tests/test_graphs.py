@@ -4,19 +4,18 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wienerlab.families import cycle, complete, path, runner_up_catalog, vertex_glued_cycles
 from wienerlab.graphs import (
     bfs_distances,
     block_decomposition,
-    branches,
     bridges,
     build_graph,
     cut_vertices,
     diameter,
-    distance_profile,
     from_adjacency_masks,
+    G6_HEADER,
     graph6_decode,
     graph6_encode,
     is_connected,
@@ -27,7 +26,6 @@ from wienerlab.graphs import (
     relabel,
     sigma_set,
     sigma_vertex,
-    structural_predicates,
     wiener,
 )
 
@@ -92,30 +90,6 @@ def test_adjacency_masks_match_edges():
 
 # ---------------------------------------------------------------------------
 # distances
-
-
-def test_distance_profile_cycle6():
-    p = distance_profile(cycle(6), 0)
-    assert p.source == 0
-    assert p.layer_sizes == (1, 2, 2, 1)
-    assert p.sigma == 9
-    assert p.eccentricity == 3
-
-
-def test_distance_profile_k4_and_c5():
-    p = distance_profile(complete(4), 2)
-    assert p.layer_sizes == (1, 3)
-    assert p.sigma == 3
-    assert p.eccentricity == 1
-    assert distance_profile(cycle(5), 0).sigma == 6
-
-
-def test_distance_profile_disconnected_marks_unreachable():
-    g = build_graph(4, [(0, 1)])
-    p = distance_profile(g, 0)
-    assert p.dist[1] == 1 and p.dist[2] is None and p.dist[3] is None
-    assert p.layer_sizes == (1, 1)
-    assert p.sigma == 1
 
 
 def test_wiener_values_against_networkx():
@@ -200,33 +174,6 @@ def test_sigma_set_errors():
 # predicates
 
 
-def test_structural_predicates_k1():
-    record = structural_predicates(build_graph(1, []))
-    assert record == {
-        "connected": True,
-        "even_degrees": True,
-        "eulerian": True,
-        "two_connected": False,
-        "two_edge_connected": True,
-        "diameter": 0,
-    }
-
-
-def test_structural_predicates_examples():
-    assert structural_predicates(path(4)) == {
-        "connected": True,
-        "even_degrees": False,
-        "eulerian": False,
-        "two_connected": False,
-        "two_edge_connected": False,
-        "diameter": 3,
-    }
-    glued = structural_predicates(vertex_glued_cycles(8, 3))
-    assert glued["eulerian"] and glued["two_edge_connected"]
-    assert not glued["two_connected"]
-    assert structural_predicates(build_graph(4, [(0, 1)]))["diameter"] is None
-
-
 def test_predicates_against_networkx():
     rng = random.Random(23)
     for _ in range(60):
@@ -257,7 +204,7 @@ def test_eulerian_means_connected_and_even():
 
 
 # ---------------------------------------------------------------------------
-# blocks, cut vertices, bridges, branches
+# blocks, cut vertices, bridges
 
 
 def test_block_decomposition_glued_cycles():
@@ -302,16 +249,6 @@ def test_blocks_and_cuts_against_networkx():
         assert mine == theirs
 
 
-def test_branches_at_a_cut_vertex():
-    g = vertex_glued_cycles(7, 3)
-    parts = branches(g, {0})
-    assert len(parts) == 2
-    sizes = sorted(len(b.vertices) for b in parts)
-    assert sizes == [2, 4]
-    for b in parts:
-        assert b.attachments == frozenset({0})
-
-
 # ---------------------------------------------------------------------------
 # graph6
 
@@ -352,3 +289,37 @@ def test_graph6_rejects_malformed():
     for bad in ("", "A", "A_?", "\x1f", "~~"):
         with pytest.raises(ValueError):
             graph6_decode(bad)
+
+
+@pytest.mark.parametrize("text", ["\x7f" + "?" * 336, "~??\x7f" + "?" * 336],
+                         ids=["short-form", "long-form"])
+def test_graph6_rejects_size_byte_127(text):
+    with pytest.raises(ValueError, match="range"):
+        nx.from_graph6_bytes(text.encode())
+    with pytest.raises(ValueError, match="size byte"):
+        graph6_decode(text)
+
+
+_g6_bytes = st.text(st.characters(min_codepoint=58, max_codepoint=130), max_size=12)
+_g6_like = st.one_of(
+    st.builds(str.__add__, st.sampled_from([chr(c) for c in range(58, 131)]), _g6_bytes),
+    st.builds(str.__add__, st.just("~"), _g6_bytes),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.text(),
+    _g6_like,
+    st.builds(str.__add__, st.just(G6_HEADER), st.one_of(st.text(), _g6_like)),
+))
+def test_graph6_decode_fuzz_raises_only_value_error(text):
+    """Random text, the header, wrong body lengths and 4-byte sizes either
+    decode to the graph networkx reads or raise ValueError."""
+    try:
+        g = graph6_decode(text)
+    except ValueError:
+        return
+    theirs = nx.from_graph6_bytes(text.strip().encode())
+    assert g.n == theirs.number_of_nodes()
+    assert g.edges() == sorted(tuple(sorted(e)) for e in theirs.edges())
