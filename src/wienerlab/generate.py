@@ -27,10 +27,23 @@ up even, the last vertex's neighborhood is forced to be exactly the set of
 odd-degree vertices, and a size ceiling prunes subtrees whose edge budget is
 already exhausted; the size filter itself is the only test at emission.
 
-Shards split the tree round-robin over the nodes of order
-max(2, min(n - 2, 6)); every shard rebuilds the levels above that split,
-which stay small.  Which classes land in which shard depends on the split
-and the deletion rule; only the union of the shards is guaranteed.
+A node of order n - 1 then has one possible child, so it is worth labeling
+only when that child survives the key test.  Two checks at the level that
+builds these nodes drop the others before they are canonized; both read
+only invariants of the forced child.  The vertex u added at that level is
+never a cut vertex of the forced child: an odd set has even size, so the
+forced vertex keeps a neighbor in the connected parent when u is removed.
+A candidate neighborhood S is therefore skipped, before its orbit test,
+when u's final degree |S| + (|S| mod 2) exceeds the forced vertex's
+|odd(parent) ^ S| + (|S| mod 2).  A child that passes its own key test is
+then looked ahead: its forced child is built, and the node is dropped when
+no degree is odd or when the forced child fails the key test.
+
+Shards split the tree round-robin over the nodes of order max(2, n - 2)
+below n = 8 and min(n - 3, 6) from n = 8 on; every shard rebuilds the levels
+above that split, which stay small next to the pruned levels below it.
+Which classes land in which shard depends on the split and the deletion
+rule; only the union of the shards is guaranteed.
 :func:`map_shards` runs the SHARDS shards of one task on a process pool.
 """
 from __future__ import annotations
@@ -85,6 +98,14 @@ def _odd_mask(rows: Sequence[int]) -> int:
         if row.bit_count() & 1:
             mask |= 1 << v
     return mask
+
+
+def _attach(rows: Sequence[int], s: int) -> list[int]:
+    """``rows`` plus a new last vertex joined to the vertices of bitmask s."""
+    k = len(rows)
+    child = [row | (1 << k) if (s >> i) & 1 else row for i, row in enumerate(rows)]
+    child.append(s)
+    return child
 
 
 def _is_cut(v: int, rows: Sequence[int], full: int) -> bool:
@@ -197,12 +218,15 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
     if n == 2 and part.shard_index != 0:
         return
 
-    split = max(2, min(n - 2, 6))
+    split = max(2, n - 2) if n < 8 else min(n - 3, 6)
     counter = 0
 
     def rec(rows: list[int], k: int, m: int, parent_gens: list[Perm]) -> Iterator[Graph]:
         nonlocal counter
         last = k + 1 == n
+        # the children of this node have exactly one (forced) child each
+        penult = even and k + 2 == n
+        odd_q = _odd_mask(rows) if penult else 0
         if last and even:
             odd = _odd_mask(rows)
             candidates: Sequence[int] = (odd,) if odd else ()
@@ -215,13 +239,20 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
         for s in candidates:
             if m_hi is not None and m + s.bit_count() + future_min > m_hi:
                 continue
+            # the new vertex k ends with degree |s| rounded up to even, the
+            # forced vertex with |odd(rows) ^ s| plus that same rounding
+            if penult and s.bit_count() > (odd_q ^ s).bit_count():
+                continue
             if dedup and not _is_min_in_orbit(s, dedup):
                 continue
-            child = [rows[i] | (1 << k) if (s >> i) & 1 else rows[i] for i in range(k)]
-            child.append(s)
+            child = _attach(rows, s)
             rivals = _key_rivals(k + 1, child)
             if rivals is None:
                 continue
+            if penult:
+                odd = _odd_mask(child)
+                if not odd or _key_rivals(n, _attach(child, odd)) is None:
+                    continue
             pos, gens = canon_rows(k + 1, child)
             if rivals:
                 rivals |= 1 << k

@@ -109,6 +109,18 @@ _eulerian_cache: dict[int, tuple[tuple[int, int, str], ...]] = {}
 _connected_cache: dict[int, tuple[str, ...]] = {}
 _columns_cache: dict[int, "CensusColumns"] = {}
 
+# class counts by order: OEIS A003049 (connected Eulerian), A001349 (connected)
+A003049 = {3: 1, 4: 1, 5: 4, 6: 8, 7: 37, 8: 184, 9: 1782, 10: 31026}
+A001349 = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+
+def _check_count(name: str, table: dict[int, int], n: int, found: int) -> None:
+    """Raise before caching a census whose class count disagrees with OEIS."""
+    if found != table[n]:
+        raise RuntimeError(
+            f"{found} classes in the order-{n} census, OEIS {name} gives {table[n]}"
+        )
+
 
 def _eulerian_shard(args: tuple[int, int, int]) -> list[tuple[int, int, str]]:
     n, total, index = args
@@ -133,6 +145,7 @@ def eulerian_census(n: int, jobs: Optional[int] = None) -> tuple[tuple[int, int,
     else:
         filt = EnumFilter(order=n, require_even_degrees=True)
         rows = [(wiener(g), g.m, graph6_encode(g)) for g in enumerate_graphs(filt)]
+    _check_count("A003049", A003049, n, len(rows))
     rows.sort(key=lambda r: (-r[0], r[1], r[2]))
     frozen = tuple(rows)
     _eulerian_cache[n] = frozen
@@ -147,6 +160,7 @@ def connected_census(n: int) -> tuple[str, ...]:
         raise ValueError(f"census supported for 1 <= n <= {GENERAL_ENVELOPE}")
     filt = EnumFilter(order=n, require_even_degrees=False)
     frozen = tuple(sorted(graph6_encode(g) for g in enumerate_graphs(filt)))
+    _check_count("A001349", A001349, n, len(frozen))
     _connected_cache[n] = frozen
     return frozen
 

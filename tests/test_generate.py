@@ -32,6 +32,7 @@ EULERIAN_COUNTS = {3: 1, 4: 1, 5: 4, 6: 8, 7: 37, 8: 184}
 CENSUS_SHA256 = {
     ("eulerian", 8): "f95766176dd0f4bac5757ff0ae5a0437b7d73a7d4e39ef228b33d2c679f0c0b5",
     ("eulerian", 9): "9894624bdc5a668cc96d4a70a1b488be7fdee9265179374933c7a3db62dcbc7d",
+    ("eulerian", 10): "ad2b6532c4ffed827258e59e5557befec4cdbd874fa28cc7277a9b16cdcffc5e",
     ("connected", 7): "d8d2dc06ce96c6a4d2e4a53d8d1f975b269b0f11122ad7cf58df39ea3d146431",
 }
 
@@ -149,11 +150,14 @@ def test_every_shard_count_partitions_the_run():
     assert empty > 0
 
 
-def census_digest(filt, partitions=(None,)):
-    lines = [
-        graph6_encode(g) for part in partitions for g in enumerate_graphs(filt, part)
-    ]
+def digest(lines):
     return len(lines), hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+
+
+def census_digest(filt, partitions=(None,)):
+    return digest([
+        graph6_encode(g) for part in partitions for g in enumerate_graphs(filt, part)
+    ])
 
 
 @pytest.fixture
@@ -189,7 +193,7 @@ def test_order_eight_canon_calls_unsharded_and_over_shards(canon_calls):
     do not each rebuild the whole tree."""
     census_digest(EnumFilter(order=8))
     unsharded = canon_calls[0]
-    assert unsharded <= 2000
+    assert unsharded <= 700
     canon_calls[0] = 0
     census_digest(EnumFilter(order=8), shards(8))
     assert canon_calls[0] <= 2 * unsharded
@@ -197,7 +201,31 @@ def test_order_eight_canon_calls_unsharded_and_over_shards(canon_calls):
 
 def test_order_nine_census_contents_and_canon_calls(canon_calls):
     assert census_digest(EnumFilter(order=9)) == (1782, CENSUS_SHA256["eulerian", 9])
-    assert canon_calls[0] <= 20000
+    assert canon_calls[0] <= 7000
+
+
+def test_order_ten_census_contents(census10):
+    assert digest([g6 for _, _, g6 in census10]) == (31026, CENSUS_SHA256["eulerian", 10])
+
+
+@pytest.fixture(scope="module")
+def order_eight_by_size():
+    by_size = {}
+    for g in enumerate_graphs(EnumFilter(order=8)):
+        by_size.setdefault(g.m, []).append(graph6_encode(g))
+    return by_size
+
+
+@pytest.mark.parametrize("m", range(8, 29))
+def test_size_filter_selects_exactly_the_census_of_that_size(order_eight_by_size, m):
+    """The size ceiling and the forced-child lookahead prune the same levels;
+    together they must keep every class of size m, unsharded and sharded."""
+    filt = EnumFilter(order=8, size_range=(m, m))
+    want = sorted(order_eight_by_size.get(m, []))
+    assert sorted(graph6_encode(g) for g in enumerate_graphs(filt)) == want
+    assert sorted(
+        graph6_encode(g) for part in shards(8) for g in enumerate_graphs(filt, part)
+    ) == want
 
 
 def test_size_filter():

@@ -362,6 +362,25 @@ def test_distance_sum_violations_name_the_first_witness(
         VIOLATED, witnesses, notes)
 
 
+@pytest.mark.parametrize("census,cache,n", [
+    (eulerian_census, "_eulerian_cache", 7),
+    (connected_census, "_connected_cache", 6),
+])
+def test_census_missing_a_class_raises_and_caches_nothing(monkeypatch, census, cache, n):
+    original = verify.enumerate_graphs
+
+    def dropping_first(filt, partition=None):
+        stream = original(filt, partition)
+        next(stream)
+        yield from stream
+
+    monkeypatch.setattr(verify, cache, {})
+    monkeypatch.setattr(verify, "enumerate_graphs", dropping_first)
+    with pytest.raises(RuntimeError, match="OEIS"):
+        census(n)
+    assert getattr(verify, cache) == {}
+
+
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_sparse_diameter_two_below_claim_threshold(n):
     report = verify_P3(n)
