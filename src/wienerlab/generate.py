@@ -37,7 +37,7 @@ A candidate neighborhood S is therefore skipped, before its orbit test,
 when u's final degree |S| + (|S| mod 2) exceeds the forced vertex's
 |odd(parent) ^ S| + (|S| mod 2).  A child that passes its own key test is
 then looked ahead: its forced child is built, and the node is dropped when
-no degree is odd or when the forced child fails the key test.
+no degree is odd, or the forced child exceeds the size ceiling or fails the key test.
 
 Shards split the tree round-robin over the nodes of order max(2, n - 2)
 below n = 8 and min(n - 3, 6) from n = 8 on; every shard rebuilds the levels
@@ -251,7 +251,8 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
                 continue
             if penult:
                 odd = _odd_mask(child)
-                if not odd or _key_rivals(n, _attach(child, odd)) is None:
+                if (not odd or m_hi is not None and m + s.bit_count() + odd.bit_count() > m_hi
+                        or _key_rivals(n, _attach(child, odd)) is None):
                     continue
             pos, gens = canon_rows(k + 1, child)
             if rivals:

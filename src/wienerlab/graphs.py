@@ -3,6 +3,9 @@
 Small simple undirected graphs on vertex set {0, ..., n-1}, stored as an
 immutable tuple of neighbor sets.  All quantities (distances, Wiener index,
 remoteness sums) are exact integers; nothing here touches floating point.
+W, the diameter and the census columns of verify read one all-sources kernel
+on int bitmasks, which grows the distance ball of every vertex by one radius
+per level; bfs_distances and sigma_* serve single sources and vertex sets.
 """
 from __future__ import annotations
 
@@ -115,19 +118,33 @@ def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
     return dist
 
 
+def _balls(g: Graph) -> Iterator[list[int]]:
+    """Levels of the ball kernel, each a new list: B_0[s] = 1 << s, B_{d+1}[s] =
+    B_d[s] | OR of B_d[v] over v ~ s; sigma(s) = sum over d of n - |B_d[s]|.  Full
+    balls are not grown again.  A connected graph yields diameter + 1 levels,
+    the last one full; on a disconnected one the last level repeats the one before."""
+    full = (1 << g.n) - 1
+    balls = [1 << s for s in range(g.n)]
+    growing = [s for s in range(g.n) if balls[s] != full]
+    yield balls
+    while growing:
+        prev, balls = balls, balls[:]
+        for s in growing:
+            b = prev[s]
+            for v in g.adj[s]:
+                b |= prev[v]
+            balls[s] = b
+        yield balls
+        growing = [s for s in growing if prev[s] != balls[s] != full]
+
+
 def diameter(g: Graph) -> Optional[int]:
-    """Largest eccentricity, or None when the graph is disconnected."""
+    """Largest eccentricity, or None when the graph is empty or disconnected."""
     if g.n == 0:
         return None
-    worst = 0
-    for v in range(g.n):
-        dist = bfs_distances(g, v)
-        for d in dist:
-            if d is None:
-                return None
-            if d > worst:
-                worst = d
-    return worst
+    for d, balls in enumerate(_balls(g)):
+        pass
+    return d if balls.count((1 << g.n) - 1) == g.n else None
 
 
 def is_connected(g: Graph) -> bool:
@@ -137,19 +154,15 @@ def is_connected(g: Graph) -> bool:
 
 
 def wiener(g: Graph) -> int:
-    """Sum of distances over all unordered vertex pairs.
-
-    Raises ValueError if the graph is disconnected (some distance infinite).
-    """
+    """Sum of distances over all unordered vertex pairs; ValueError if empty or disconnected."""
     if g.n == 0:
         raise ValueError("wiener index undefined: graph is empty")
-    total = 0
-    for s in range(g.n):
-        row = bfs_distances(g, s)
-        for d in row:
-            if d is None:
-                raise ValueError("wiener index undefined: graph is disconnected")
-            total += d
+    total = missing = 0
+    for balls in _balls(g):
+        missing = g.n * g.n - sum(map(int.bit_count, balls))
+        total += missing
+    if missing:  # the last level is full unless some vertex is unreachable
+        raise ValueError("wiener index undefined: graph is disconnected")
     return total // 2
 
 

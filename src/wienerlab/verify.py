@@ -42,8 +42,8 @@ from .formulas import (
 )
 from .generate import EnumFilter, EnumPartition, enumerate_graphs, map_shards
 from .graphs import (
+    _balls,
     _dfs_lowpoints,
-    bfs_distances,
     build_graph,
     diameter,
     graph6_decode,
@@ -179,20 +179,20 @@ class CensusColumns(NamedTuple):
 
 def census_columns(n: int) -> CensusColumns:
     """One cached pass over connected_census(n): each class is decoded once,
-    gets one lowpoint DFS and one BFS per vertex."""
+    gets one lowpoint DFS and one run of the all-sources ball kernel."""
     if n in _columns_cache:
         return _columns_cache[n]
     cols = CensusColumns(*(array("H") for _ in CensusColumns._fields))
     for g6 in connected_census(n):
         g = graph6_decode(g6)
         cuts, bridges, _ = _dfs_lowpoints(g)
-        rows = [bfs_distances(g, v) for v in range(n)]
-        sums = [sum(row) for row in rows]
+        levels = list(_balls(g))[:-1]  # the last level is full: it adds nothing
+        sums = [sum(n - lv[s].bit_count() for lv in levels) for s in range(n)]
         biconnected = n >= 3 and not cuts
-        # on a connected graph sigma_set(g, {u, w}) is the sum of the row minima
-        pair = max(sum(map(min, rows[u], rows[w]))
+        # sigma_set(g, {u, w}) = sum over d of n - |B_d[u] | B_d[w]|
+        pair = max(sum(n - (lv[u] | lv[w]).bit_count() for lv in levels)
                    for u, w in combinations(range(n), 2)) if biconnected else 0
-        values = (g.m, sum(sums) // 2, max(map(max, rows)), max(sums), pair,
+        values = (g.m, sum(sums) // 2, len(levels), max(sums), pair,
                   biconnected, not bridges)
         for col, value in zip(cols, values):
             col.append(value)

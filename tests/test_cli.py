@@ -28,6 +28,16 @@ def test_wiener_reads_stdin(runner):
     assert result.stderr == ""
 
 
+def test_wiener_small_and_disconnected_orders(runner):
+    """n = 0 and disconnected graphs print INF, K_1 prints 0."""
+    lines = ["?", "@", "A?", "A_", TWO_TRIANGLES, C8]
+    result = runner.invoke(main, ["wiener"], input="\n".join(lines) + "\n")
+    assert result.exit_code == 0
+    assert result.stdout == (f"? INF\n@ 0\nA? INF\nA_ 1\n{TWO_TRIANGLES} INF\n"
+                             f"{C8} 64\n")
+    assert result.stderr == ""
+
+
 def test_wiener_empty_stdin(runner):
     result = runner.invoke(main, ["wiener"], input="")
     assert result.exit_code == 0

@@ -228,6 +228,18 @@ def test_size_filter_selects_exactly_the_census_of_that_size(order_eight_by_size
     ) == want
 
 
+@pytest.mark.parametrize("m,count,calls", [(10, 3, 92), (12, 32, 456), (14, 87, 1177)])
+def test_order_nine_size_filter_prunes_forced_children_above_the_ceiling(
+        census9, canon_calls, m, count, calls):
+    """The forced-child lookahead drops a node whose forced child already has
+    more than m edges, before it is labeled."""
+    filt = EnumFilter(order=9, size_range=(m, m))
+    got = sorted(graph6_encode(g) for g in enumerate_graphs(filt))
+    assert got == sorted(g6 for _, size, g6 in census9 if size == m)
+    assert len(got) == count
+    assert canon_calls[0] <= calls
+
+
 def test_size_filter():
     filt = EnumFilter(order=7, size_range=(8, 9))
     graphs = list(enumerate_graphs(filt))

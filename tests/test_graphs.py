@@ -28,6 +28,7 @@ from wienerlab.graphs import (
     sigma_vertex,
     wiener,
 )
+from wienerlab.verify import census_columns, connected_census
 
 
 def to_nx(g):
@@ -114,6 +115,78 @@ def test_diameter_values():
     assert diameter(complete(5)) == 1
     assert diameter(build_graph(1, [])) == 0
     assert diameter(build_graph(2, [])) is None
+
+
+def random_connected(rng, n, extra):
+    """A random spanning tree on n vertices plus `extra` random chords."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    pairs = list(itertools.combinations(range(n), 2))
+    edges.update(rng.sample(pairs, min(extra, len(pairs))))
+    return build_graph(n, edges)
+
+
+def kernel_cases():
+    rng = random.Random(11)
+    for n in (3, 5, 17, 60, 61):
+        yield path(n)
+        yield cycle(n)
+    for _ in range(60):
+        n = rng.randint(2, 60)
+        yield random_connected(rng, n, rng.choice([0, 0, 1, 2, n // 4, n]))
+
+
+def test_wiener_and_diameter_match_networkx_on_sparse_connected_graphs():
+    for g in kernel_cases():
+        h = to_nx(g)
+        assert wiener(g) == nx.wiener_index(h)
+        assert diameter(g) == nx.diameter(h)
+
+
+@pytest.mark.parametrize("n,edges,w,d", [
+    (1, [], 0, 0),
+    (2, [(0, 1)], 1, 1),
+])
+def test_wiener_and_diameter_on_orders_one_and_two(n, edges, w, d):
+    g = build_graph(n, edges)
+    assert (wiener(g), diameter(g)) == (w, d)
+
+
+def test_wiener_and_diameter_on_empty_graph():
+    g = build_graph(0, [])
+    with pytest.raises(ValueError, match="graph is empty"):
+        wiener(g)
+    assert diameter(g) is None
+
+
+@pytest.mark.parametrize("n,edges", [
+    (2, []),
+    (3, [(0, 1)]),
+    (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+    (61, [(v, v + 1) for v in range(59)]),  # a long path and an isolated vertex
+])
+def test_wiener_and_diameter_on_disconnected_graphs(n, edges):
+    g = build_graph(n, edges)
+    with pytest.raises(ValueError, match="graph is disconnected"):
+        wiener(g)
+    assert diameter(g) is None
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_columns_match_bfs_rows_and_sigma_set(n):
+    """Every column of the census pass against per-source BFS and sigma_set,
+    with the connectivity flags from networkx."""
+    census, cols = connected_census(n), census_columns(n)
+    for i, g6 in enumerate(census):
+        g = graph6_decode(g6)
+        h = to_nx(g)
+        rows = [bfs_distances(g, v) for v in range(n)]
+        sums = [sum(row) for row in rows]
+        biconnected = n >= 3 and nx.is_biconnected(h)
+        pair = max(sigma_set(g, a) for a in itertools.combinations(range(n), 2)) \
+            if biconnected else 0
+        expected = (g.m, sum(sums) // 2, max(map(max, rows)), max(sums), pair,
+                    biconnected, not nx.has_bridges(h))
+        assert tuple(col[i] for col in cols) == expected, g6
 
 
 @given(graphs_st())

@@ -179,6 +179,24 @@ def test_glued_cycle_ordering_envelope_and_domain():
         verify_L2(5)
 
 
+def test_glued_cycle_ordering_report_at_the_envelope():
+    """The whole L2 report at n = 300.  The notes carry W of every split,
+    each checked here against the cut-vertex gluing identity
+    W = W(C_a) + W(C_b) + (a - 1) sigma_b + (b - 1) sigma_a, b = n + 1 - a,
+    with sigma_k = floor(k^2 / 4) the transmission of a vertex of C_k."""
+    n = 300
+
+    def glued(a):
+        b = n + 1 - a
+        return (wiener_cycle(a) + wiener_cycle(b)
+                + (a - 1) * (b * b // 4) + (b - 1) * (a * a // 4))
+
+    chain = " > ".join(f"{glued(a)}(a={a})" for a in range(3, 151))
+    report = verify_L2(n)
+    assert (report.status, report.witnesses, report.notes) \
+        == (VERIFIED, (), f"chain holds: {chain}")
+
+
 def test_edge_glued_dominated():
     report = verify_L3(26, 60)
     assert report.status == VERIFIED
@@ -204,6 +222,13 @@ def test_triangle_placements_below_cap():
     for n in (6, 7, 10, 13):
         assert verify_C2(n).status == VERIFIED
     assert verify_C2(65).status == SKIPPED
+
+
+def test_triangle_placements_report_at_the_envelope():
+    report = verify_C2(64)
+    assert (report.status, report.witnesses, report.notes) == (
+        VERIFIED, (), "all 1770 triangle placements (up to rotation) stay "
+        "below W = 31838")
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
