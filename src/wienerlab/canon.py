@@ -172,7 +172,7 @@ def canon_rows(n: int, rows: Sequence[int]) -> tuple[Perm, list[Perm]]:
 
 def canonical_permutation(g: Graph) -> Perm:
     """Relabeling ``v -> perm[v]`` sending ``g`` to its canonical form."""
-    pos, _ = canon_rows(g.n, g.adjacency_masks())
+    pos, _ = canon_rows(g.n, g.rows)
     perm = [0] * g.n
     for i, v in enumerate(pos):
         perm[v] = i
@@ -191,7 +191,7 @@ def canonical_form(g: Graph) -> str:
 
 def automorphism_generators(g: Graph) -> list[Perm]:
     """Generators of the automorphism group (possibly empty, never identity)."""
-    return canon_rows(g.n, g.adjacency_masks())[1]
+    return canon_rows(g.n, g.rows)[1]
 
 
 def automorphism_orbits(g: Graph) -> list[frozenset[int]]:

@@ -201,14 +201,13 @@ def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
     try:
         filt = _build_filter(n, m)
         filt.validate()
+        kw = {"order": filt.order, "require_even_degrees": True,
+              "size_range": filt.size_range}
         if jobs > 1 and shards is None:
-            kw = {"order": filt.order, "require_even_degrees": True,
-                  "size_range": filt.size_range}
             lines = map_shards(_shard_g6, kw, jobs)
         else:
-            part = (EnumPartition(total_shards=shards, shard_index=shard)
-                    if shards is not None else None)
-            lines = [graph6_encode(g) for g in enumerate_graphs(filt, part)]
+            part = (1, 0) if shards is None else (shards, shard)
+            lines = _shard_g6((kw, *part))
     except ValueError as exc:
         _fail_usage(str(exc))
         return
@@ -237,17 +236,14 @@ def cmd_rank(n: int, top: int, objective: str, jobs: int, fmt: str) -> None:
     try:
         filt = _build_filter(n, None)
         filt.validate()
-        if jobs > 1:
-            kw = {"order": filt.order, "require_even_degrees": True}
-            pool_entries: dict[int, set[str]] = {}
-            for w, g6 in map_shards(_shard_rank, (kw, obj, top), jobs):
-                pool_entries.setdefault(w, set()).add(g6)
-            sign = -1 if obj == "max_wiener" else 1
-            keep = sorted(pool_entries, key=lambda w: sign * w)[:top]
-            entries = [(w, g6) for w in keep for g6 in sorted(pool_entries[w])]
-        else:
-            entries = [(e.wiener, e.graph6)
-                       for e in extremal_scan(filt, obj, top)]
+        args = ({"order": filt.order, "require_even_degrees": True}, obj, top)
+        found: dict[int, set[str]] = {}
+        for w, g6 in (map_shards(_shard_rank, args, jobs) if jobs > 1
+                      else _shard_rank((args, 1, 0))):
+            found.setdefault(w, set()).add(g6)
+        sign = -1 if obj == "max_wiener" else 1
+        keep = sorted(found, key=lambda w: sign * w)[:top]
+        entries = [(w, g6) for w in keep for g6 in sorted(found[w])]
     except ValueError as exc:
         _fail_usage(str(exc))
         return

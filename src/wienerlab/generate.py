@@ -38,6 +38,8 @@ when u's final degree |S| + (|S| mod 2) exceeds the forced vertex's
 |odd(parent) ^ S| + (|S| mod 2).  A child that passes its own key test is
 then looked ahead: its forced child is built, and the node is dropped when
 no degree is odd, or the forced child exceeds the size ceiling or fails the key test.
+A node that is kept has no level of its own: its forced child, already built
+and key-tested, is canonized and emitted right there.
 
 Shards split the tree round-robin over the nodes of order max(2, n - 2)
 below n = 8 and min(n - 3, 6) from n = 8 on; every shard rebuilds the levels
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import Perm, _orbit_roots, canon_rows
-from .graphs import Graph, from_adjacency_masks, relabel
+from .graphs import Graph, _bits, from_adjacency_masks, relabel
 
 MAX_ORDER = 12
 SHARDS = 8   # the split of every --jobs run, whatever the worker count
@@ -124,13 +126,7 @@ def _is_cut(v: int, rows: Sequence[int], full: int) -> bool:
 
 
 def _neighbor_degrees(row: int, deg: Sequence[int]) -> list[int]:
-    out = []
-    while row:
-        b = row & -row
-        out.append(deg[b.bit_length() - 1])
-        row ^= b
-    out.sort()
-    return out
+    return sorted(deg[v] for v in _bits(row))
 
 
 def _key_rivals(n: int, rows: Sequence[int]) -> Optional[int]:
@@ -197,11 +193,26 @@ def _emit(n: int, rows: list[int], pos: Perm, filt: EnumFilter) -> Optional[Grap
         m = sum(r.bit_count() for r in rows) // 2
         if not filt.size_range[0] <= m <= filt.size_range[1]:
             return None
-    g = from_adjacency_masks(n, rows)
     cperm = [0] * n
     for i, v in enumerate(pos):
         cperm[v] = i
-    return relabel(g, cperm)
+    return relabel(from_adjacency_masks(n, rows), cperm)
+
+
+def _accept(rows: list[int], rivals: int) -> Optional[tuple[Perm, list[Perm]]]:
+    """Canonize a child that passed ``_key_rivals``: its canonical order and
+    automorphism generators, or None when its new (last) vertex is not in the
+    orbit of the deletion vertex."""
+    k = len(rows) - 1
+    pos, gens = canon_rows(k + 1, rows)
+    if rivals:
+        rivals |= 1 << k
+        d_vertex = next(v for v in reversed(pos) if (rivals >> v) & 1)
+        if d_vertex != k:
+            roots = _orbit_roots(k + 1, gens)
+            if roots[k] != roots[d_vertex]:
+                return None
+    return pos, gens
 
 
 def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
@@ -215,7 +226,7 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
             if g is not None:
                 yield g
         return
-    if n == 2 and part.shard_index != 0:
+    if n == 2 and even:
         return
 
     split = max(2, n - 2) if n < 8 else min(n - 3, 6)
@@ -224,26 +235,19 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
     def rec(rows: list[int], k: int, m: int, parent_gens: list[Perm]) -> Iterator[Graph]:
         nonlocal counter
         last = k + 1 == n
-        # the children of this node have exactly one (forced) child each
+        # each child of this node has exactly one (forced) child
         penult = even and k + 2 == n
         odd_q = _odd_mask(rows) if penult else 0
-        if last and even:
-            odd = _odd_mask(rows)
-            candidates: Sequence[int] = (odd,) if odd else ()
-            dedup: list[Perm] = []
-        else:
-            candidates = range(1, 1 << k)
-            dedup = parent_gens
         remaining = n - k - 1
         future_min = 0 if remaining == 0 else remaining + (1 if even else 0)
-        for s in candidates:
+        for s in range(1, 1 << k):
             if m_hi is not None and m + s.bit_count() + future_min > m_hi:
                 continue
             # the new vertex k ends with degree |s| rounded up to even, the
             # forced vertex with |odd(rows) ^ s| plus that same rounding
             if penult and s.bit_count() > (odd_q ^ s).bit_count():
                 continue
-            if dedup and not _is_min_in_orbit(s, dedup):
+            if parent_gens and not _is_min_in_orbit(s, parent_gens):
                 continue
             child = _attach(rows, s)
             rivals = _key_rivals(k + 1, child)
@@ -251,31 +255,30 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
                 continue
             if penult:
                 odd = _odd_mask(child)
-                if (not odd or m_hi is not None and m + s.bit_count() + odd.bit_count() > m_hi
-                        or _key_rivals(n, _attach(child, odd)) is None):
+                if not odd or m_hi is not None and m + s.bit_count() + odd.bit_count() > m_hi:
                     continue
-            pos, gens = canon_rows(k + 1, child)
-            if rivals:
-                rivals |= 1 << k
-                for i in range(k, -1, -1):
-                    if (rivals >> pos[i]) & 1:
-                        d_vertex = pos[i]
-                        break
-                if d_vertex != k:
-                    roots = _orbit_roots(k + 1, gens)
-                    if roots[k] != roots[d_vertex]:
-                        continue
-            if last:
-                g = _emit(n, child, pos, filt)
+                forced = _attach(child, odd)
+                forced_rivals = _key_rivals(n, forced)
+                if forced_rivals is None:
+                    continue
+            accepted = _accept(child, rivals)
+            if accepted is None:
+                continue
+            if k + 1 == split:
+                mine = counter % part.total_shards == part.shard_index
+                counter += 1
+                if not mine:
+                    continue
+            if penult:  # the forced child is the only child: emit it from here
+                child, accepted = forced, _accept(forced, forced_rivals)
+                if accepted is None:
+                    continue
+            if last or penult:
+                g = _emit(n, child, accepted[0], filt)
                 if g is not None:
                     yield g
             else:
-                if k + 1 == split:
-                    mine = counter % part.total_shards == part.shard_index
-                    counter += 1
-                    if not mine:
-                        continue
-                yield from rec(child, k + 1, m + s.bit_count(), gens)
+                yield from rec(child, k + 1, m + s.bit_count(), accepted[1])
 
     yield from rec([0], 1, 0, [])
 

@@ -1,15 +1,17 @@
 """Core graph type and exact distance computations.
 
 Small simple undirected graphs on vertex set {0, ..., n-1}, stored as an
-immutable tuple of neighbor sets.  All quantities (distances, Wiener index,
+immutable tuple of int adjacency bitmasks, one row per vertex: the form the
+enumerator and the canonical labeler work on, so no conversion sits between
+them and the graphs they emit.  All quantities (distances, Wiener index,
 remoteness sums) are exact integers; nothing here touches floating point.
 W, the diameter and the census columns of verify read one all-sources kernel
-on int bitmasks, which grows the distance ball of every vertex by one radius
-per level; bfs_distances and sigma_* serve single sources and vertex sets.
+that grows the distance ball of every vertex by one radius per level;
+bfs_distances, sigma_* and is_connected read one frontier BFS from a vertex
+set.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -18,40 +20,39 @@ Edge = tuple[int, int]
 G6_HEADER = ">>graph6<<"
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph.
 
-    ``adj[v]`` is the frozenset of neighbors of vertex ``v``.
+    ``rows[v]`` is the adjacency bitmask of vertex ``v``: bit ``u`` is set
+    iff u ~ v.
     """
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    rows: tuple[int, ...]
 
     @property
     def m(self) -> int:
         """Number of edges."""
-        return sum(len(a) for a in self.adj) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.rows[v].bit_count()
 
     def edges(self) -> list[Edge]:
         """Sorted list of edges as (u, v) pairs with u < v."""
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        return [(u, v) for u in range(self.n) for v in _bits(self.rows[u]) if u < v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def adjacency_masks(self) -> list[int]:
-        """Adjacency rows as bitmasks (bit v of row u set iff u~v)."""
-        rows = []
-        for u in range(self.n):
-            row = 0
-            for v in self.adj[u]:
-                row |= 1 << v
-            rows.append(row)
-        return rows
+        return v >= 0 and (self.rows[u] >> v) & 1 == 1
 
 
 def build_graph(n: int, edges: Iterable[Edge]) -> Graph:
@@ -62,59 +63,69 @@ def build_graph(n: int, edges: Iterable[Edge]) -> Graph:
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    adj: list[set[int]] = [set() for _ in range(n)]
+    rows = [0] * n
     for e in edges:
         u, v = e
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {e!r} out of range for n={n}")
         if u == v:
             raise ValueError(f"loop at vertex {u} not allowed")
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(n, tuple(frozenset(a) for a in adj))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
 
 
 def from_adjacency_masks(n: int, rows: Sequence[int]) -> Graph:
-    """Inverse of :meth:`Graph.adjacency_masks`."""
-    adj = []
-    for u in range(n):
-        row = rows[u]
-        nbrs = set()
-        while row:
-            b = row & -row
-            nbrs.add(b.bit_length() - 1)
-            row ^= b
-        adj.append(frozenset(nbrs))
-    return Graph(n, tuple(adj))
+    """The Graph whose first n adjacency rows are ``rows``."""
+    return Graph(n, tuple(rows[:n]))
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Image of ``g`` under the vertex relabeling ``v -> perm[v]``."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm is not a permutation of the vertex set")
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for u in range(g.n):
-        for v in g.adj[u]:
-            adj[perm[u]].add(perm[v])
-    return Graph(g.n, tuple(frozenset(a) for a in adj))
+    rows = [0] * g.n
+    for u, row in enumerate(g.rows):
+        rows[perm[u]] = sum(1 << perm[v] for v in _bits(row))
+    return Graph(g.n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
 # distances
 
 
+def _layers(rows: Sequence[int], sources: int) -> Iterator[int]:
+    """Frontiers of one BFS on bitmask rows: the vertex set ``sources`` first,
+    then each set of vertices first reached one step further."""
+    seen = frontier = sources
+    while frontier:
+        yield frontier
+        reach = 0
+        for v in _bits(frontier):
+            reach |= rows[v]
+        frontier = reach & ~seen
+        seen |= frontier
+
+
+def _distance_sum(g: Graph, sources: int, what: str) -> int:
+    """Sum over all vertices of the distance to the vertex set ``sources``;
+    ValueError, naming ``what``, when some vertex cannot reach it."""
+    total = reached = 0
+    for d, layer in enumerate(_layers(g.rows, sources)):
+        size = layer.bit_count()
+        total += d * size
+        reached += size
+    if reached != g.n:
+        raise ValueError(f"{what} undefined: graph is disconnected")
+    return total
+
+
 def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
     """Distances from ``source``; None marks unreachable vertices."""
     dist: list[Optional[int]] = [None] * g.n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for v in g.adj[u]:
-            if dist[v] is None:
-                dist[v] = du + 1  # type: ignore[operator]
-                q.append(v)
+    for d, layer in enumerate(_layers(g.rows, 1 << source)):
+        for v in _bits(layer):
+            dist[v] = d
     return dist
 
 
@@ -124,6 +135,7 @@ def _balls(g: Graph) -> Iterator[list[int]]:
     balls are not grown again.  A connected graph yields diameter + 1 levels,
     the last one full; on a disconnected one the last level repeats the one before."""
     full = (1 << g.n) - 1
+    nbrs = [list(_bits(row)) for row in g.rows]
     balls = [1 << s for s in range(g.n)]
     growing = [s for s in range(g.n) if balls[s] != full]
     yield balls
@@ -131,7 +143,7 @@ def _balls(g: Graph) -> Iterator[list[int]]:
         prev, balls = balls, balls[:]
         for s in growing:
             b = prev[s]
-            for v in g.adj[s]:
+            for v in nbrs[s]:
                 b |= prev[v]
             balls[s] = b
         yield balls
@@ -148,9 +160,7 @@ def diameter(g: Graph) -> Optional[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    return sum(1 for d in bfs_distances(g, 0) if d is not None) == g.n
+    return g.n > 0 and None not in bfs_distances(g, 0)
 
 
 def wiener(g: Graph) -> int:
@@ -168,10 +178,7 @@ def wiener(g: Graph) -> int:
 
 def sigma_vertex(g: Graph, v: int) -> int:
     """Total distance from ``v`` to all other vertices (transmission of v)."""
-    row = bfs_distances(g, v)
-    if any(d is None for d in row):
-        raise ValueError("total distance undefined: graph is disconnected")
-    return sum(row)  # type: ignore[arg-type]
+    return _distance_sum(g, 1 << v, "total distance")
 
 
 def sigma_set(g: Graph, vertices: Iterable[int]) -> int:
@@ -186,27 +193,7 @@ def sigma_set(g: Graph, vertices: Iterable[int]) -> int:
         raise ValueError("vertex set must be nonempty")
     if not a <= set(range(g.n)):
         raise ValueError("vertex set out of range")
-    dist: list[Optional[int]] = [None] * g.n
-    q = deque()
-    for v in a:
-        dist[v] = 0
-        q.append(v)
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for w in g.adj[u]:
-            if dist[w] is None:
-                dist[w] = du + 1  # type: ignore[operator]
-                q.append(w)
-    total = 0
-    for y in range(g.n):
-        if y in a:
-            continue
-        d = dist[y]
-        if d is None:
-            raise ValueError("distance to set undefined: graph is disconnected")
-        total += d
-    return total
+    return _distance_sum(g, sum(1 << v for v in a), "distance to set")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +202,7 @@ def sigma_set(g: Graph, vertices: Iterable[int]) -> int:
 
 def is_even_graph(g: Graph) -> bool:
     """True when every vertex has even degree (connectivity not required)."""
-    return all(len(a) % 2 == 0 for a in g.adj)
+    return not any(row.bit_count() & 1 for row in g.rows)
 
 
 def is_eulerian(g: Graph) -> bool:
@@ -241,13 +228,13 @@ def _dfs_lowpoints(g: Graph) -> tuple[list[int], list[Edge], list[frozenset[int]
     for root in range(n):
         if disc[root] != -1:
             continue
-        if not g.adj[root]:
+        if not g.rows[root]:
             blocks.append(frozenset({root}))
             disc[root] = timer
             timer += 1
             continue
         root_children = 0
-        stack: list[tuple[int, Iterator[int]]] = [(root, iter(sorted(g.adj[root])))]
+        stack: list[tuple[int, Iterator[int]]] = [(root, _bits(g.rows[root]))]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
@@ -263,7 +250,7 @@ def _dfs_lowpoints(g: Graph) -> tuple[list[int], list[Edge], list[frozenset[int]
                         root_children += 1
                     disc[v] = low[v] = timer
                     timer += 1
-                    stack.append((v, iter(sorted(g.adj[v]))))
+                    stack.append((v, _bits(g.rows[v])))
                     advanced = True
                     break
                 elif disc[v] < disc[u]:
@@ -369,20 +356,16 @@ def _g6_size_bytes(n: int) -> bytes:
 
 def graph6_encode(g: Graph) -> str:
     """Encode in graph6 format (printable ASCII, no trailing newline)."""
-    bits: list[int] = []
+    # bit i of acc is bit i of the upper triangle, column by column: the
+    # entries u < v of row v, lowest u first
+    acc = nbits = 0
     for v in range(1, g.n):
-        av = g.adj[v]
-        for u in range(v):
-            bits.append(1 if u in av else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = bytearray(_g6_size_bytes(g.n))
-    for i in range(0, len(bits), 6):
-        word = 0
-        for b in bits[i : i + 6]:
-            word = (word << 1) | b
-        out.append(word + 63)
-    return out.decode("ascii")
+        acc |= (g.rows[v] & (1 << v) - 1) << nbits
+        nbits += v
+    # a sentinel bit above the top keeps the leading zeros through format
+    bits = format(acc | 1 << nbits, "b")[:0:-1] + "0" * (-nbits % 6)
+    body = bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
+    return (_g6_size_bytes(g.n) + body).decode("ascii")
 
 
 def graph6_decode(text: str) -> Graph:
@@ -409,17 +392,14 @@ def graph6_decode(text: str) -> Graph:
         raise ValueError(
             f"graph6 body length {len(body)} does not match n={n} (need {need})"
         )
-    bits: list[int] = []
     for ch in body:
-        w = ch - 63
-        if not 0 <= w < 64:
+        if not 63 <= ch <= 126:
             raise ValueError(f"graph6 byte {ch} out of range")
-        bits.extend((w >> k) & 1 for k in (5, 4, 3, 2, 1, 0))
-    edges = []
-    i = 0
+    bits = "".join(format(ch - 63, "06b") for ch in body)
+    rows = [0] * n
     for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
-    return build_graph(n, edges)
+        below = int(bits[v * (v - 1) // 2 : v * (v + 1) // 2][::-1], 2)
+        rows[v] |= below
+        for u in _bits(below):
+            rows[u] |= 1 << v
+    return Graph(n, tuple(rows))

@@ -143,8 +143,7 @@ def eulerian_census(n: int, jobs: Optional[int] = None) -> tuple[tuple[int, int,
     if jobs and jobs > 1 and n >= 9:
         rows = map_shards(_eulerian_shard, n, jobs)
     else:
-        filt = EnumFilter(order=n, require_even_degrees=True)
-        rows = [(wiener(g), g.m, graph6_encode(g)) for g in enumerate_graphs(filt)]
+        rows = _eulerian_shard((n, 1, 0))
     _check_count("A003049", A003049, n, len(rows))
     rows.sort(key=lambda r: (-r[0], r[1], r[2]))
     frozen = tuple(rows)

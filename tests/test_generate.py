@@ -204,6 +204,28 @@ def test_order_nine_census_contents_and_canon_calls(canon_calls):
     assert canon_calls[0] <= 7000
 
 
+def test_order_eight_key_tests_are_not_repeated_for_the_forced_child(monkeypatch):
+    """The forced child is key-tested once, by the lookahead that builds it,
+    and canonized at that level: 3,423 key tests at order 8, where testing
+    it again one level down made 3,647."""
+    calls = [0]
+    original = generate._key_rivals
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(generate, "_key_rivals", counting)
+    assert census_digest(EnumFilter(order=8)) == (184, CENSUS_SHA256["eulerian", 8])
+    assert calls[0] <= 3_423
+
+
+def test_order_two_has_no_even_class():
+    assert list(enumerate_graphs(EnumFilter(order=2))) == []
+    assert [graph6_encode(g) for g in enumerate_graphs(
+        EnumFilter(order=2, require_even_degrees=False))] == ["A_"]
+
+
 def test_order_ten_census_contents(census10):
     assert digest([g6 for _, _, g6 in census10]) == (31026, CENSUS_SHA256["eulerian", 10])
 

@@ -75,6 +75,31 @@ def test_edge_order_is_normalized():
     assert not g.has_edge(1, 2)
 
 
+def test_has_edge_outside_the_vertex_set_is_false():
+    g = cycle(5)
+    assert g.has_edge(0, 4)
+    assert not g.has_edge(0, 5) and not g.has_edge(0, 99) and not g.has_edge(0, -1)
+
+
+def test_rows_over_several_limbs_against_networkx():
+    """Order 150: the rows are ints well past 64 bits."""
+    rng = random.Random(5)
+    g = random_connected(rng, 150, 40)
+    h = to_nx(g)
+    assert max(r.bit_length() for r in g.rows) == 150
+    assert g.m == h.number_of_edges()
+    assert is_connected(g) and wiener(g) == nx.wiener_index(h)
+    split = build_graph(150, [e for e in g.edges() if 149 not in e])
+    assert not is_connected(split) and not nx.is_connected(to_nx(split))
+    text = graph6_encode(g)
+    assert text == nx.to_graph6_bytes(h, header=False).decode().strip()
+    assert graph6_decode(text) == g
+    perm = list(range(150))
+    rng.shuffle(perm)
+    moved = nx.relabel_nodes(h, dict(enumerate(perm)))
+    assert relabel(g, perm).edges() == sorted(tuple(sorted(e)) for e in moved.edges())
+
+
 def test_relabel_roundtrip():
     g = vertex_glued_cycles(8, 3)
     perm = [3, 1, 4, 0, 5, 2, 7, 6]
@@ -84,8 +109,8 @@ def test_relabel_roundtrip():
 
 def test_adjacency_masks_match_edges():
     g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
-    rows = g.adjacency_masks()
-    assert from_adjacency_masks(5, rows) == g
+    rows = g.rows
+    assert from_adjacency_masks(5, list(rows)) == g
     assert rows[1] == (1 << 0) | (1 << 2)
 
 
@@ -187,6 +212,26 @@ def test_census_columns_match_bfs_rows_and_sigma_set(n):
         expected = (g.m, sum(sums) // 2, max(map(max, rows)), max(sums), pair,
                     biconnected, not nx.has_bridges(h))
         assert tuple(col[i] for col in cols) == expected, g6
+
+
+@given(graphs_st(max_n=9), st.data())
+def test_bfs_distances_match_networkx(g, data):
+    source = data.draw(st.integers(0, g.n - 1))
+    theirs = nx.single_source_shortest_path_length(to_nx(g), source)
+    assert bfs_distances(g, source) == [theirs.get(v) for v in range(g.n)]
+
+
+@given(graphs_st(max_n=9), st.data())
+def test_sigma_set_matches_brute_force_on_any_graph(g, data):
+    """Multi-vertex sources; ValueError when some vertex cannot reach the set."""
+    a = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    dist = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
+    near = [min((dist[y][v] for v in a if v in dist[y]), default=None) for y in range(g.n)]
+    if None in near:
+        with pytest.raises(ValueError, match="disconnected"):
+            sigma_set(g, a)
+    else:
+        assert sigma_set(g, a) == sum(near)
 
 
 @given(graphs_st())
