@@ -9,7 +9,6 @@ and a claim-verification harness with a command-line front end.
 from .canon import (
     automorphism_generators,
     automorphism_group_order,
-    automorphism_orbits,
     canonical_form,
     canonical_graph,
     canonical_permutation,
@@ -45,7 +44,6 @@ from .generate import (
     EnumFilter,
     EnumPartition,
     MAX_ORDER,
-    RankEntry,
     count_graphs,
     enumerate_graphs,
     extremal_scan,

@@ -194,15 +194,6 @@ def automorphism_generators(g: Graph) -> list[Perm]:
     return canon_rows(g.n, g.rows)[1]
 
 
-def automorphism_orbits(g: Graph) -> list[frozenset[int]]:
-    """Vertex orbits under the full automorphism group, sorted by minimum."""
-    roots = _orbit_roots(g.n, automorphism_generators(g))
-    cells: dict[int, set[int]] = {}
-    for v in range(g.n):
-        cells.setdefault(roots[v], set()).add(v)
-    return sorted((frozenset(c) for c in cells.values()), key=min)
-
-
 def automorphism_group_order(g: Graph, limit: int = 10**6) -> int:
     """Order of the automorphism group by explicit closure of the generators.
 

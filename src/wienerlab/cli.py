@@ -174,7 +174,7 @@ def _shard_rank(args: tuple[tuple[dict, str, int], int, int]) -> list[tuple[int,
     (filt_kw, objective, top), total, index = args
     filt = EnumFilter(**filt_kw)
     part = EnumPartition(total_shards=total, shard_index=index)
-    return [(e.wiener, e.graph6) for e in extremal_scan(filt, objective, top, part)]
+    return extremal_scan(filt, objective, top, part)
 
 
 def _build_filter(n: int, m: Optional[int]) -> EnumFilter:

@@ -16,11 +16,11 @@ never a cut vertex (removing it leaves the connected parent) and orbits
 preserve keys, so a child in which some non-cut vertex outranks the new
 vertex is rejected before it is canonically labeled.  Degrees are compared
 first, neighbor degrees only on a degree tie, and cut vertices are tested
-by bitmask reachability only for vertices of at least the new vertex's
-degree.  Surviving children are canonized, since emission needs their
-canonical order and the next level's orbit dedup their automorphisms; the
-orbit test itself runs only when another non-cut vertex ties the new
-vertex's key.
+(by the bitmask reachability of graphs._is_cut) only for vertices of at
+least the new vertex's degree.  Surviving children are canonized, since
+emission needs their canonical order and the next level's orbit dedup their
+automorphisms; the orbit test itself runs only when another non-cut vertex
+ties the new vertex's key.
 
 The search tree ranges over connected graphs.  When all degrees must end
 up even, the last vertex's neighborhood is forced to be exactly the set of
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import Perm, _orbit_roots, canon_rows
-from .graphs import Graph, _bits, from_adjacency_masks, relabel
+from .graphs import Graph, _bits, _is_cut, from_adjacency_masks, relabel
 
 MAX_ORDER = 12
 SHARDS = 8   # the split of every --jobs run, whatever the worker count
@@ -108,21 +108,6 @@ def _attach(rows: Sequence[int], s: int) -> list[int]:
     child = [row | (1 << k) if (s >> i) & 1 else row for i, row in enumerate(rows)]
     child.append(s)
     return child
-
-
-def _is_cut(v: int, rows: Sequence[int], full: int) -> bool:
-    """True when removing v disconnects the connected bitmask graph ``rows``."""
-    rest = full & ~(1 << v)
-    seen = frontier = rest & -rest
-    while frontier:
-        reach = 0
-        while frontier:
-            b = frontier & -frontier
-            reach |= rows[b.bit_length() - 1]
-            frontier ^= b
-        frontier = reach & rest & ~seen
-        seen |= frontier
-    return seen != rest
 
 
 def _neighbor_degrees(row: int, deg: Sequence[int]) -> list[int]:
@@ -315,24 +300,16 @@ def map_shards(worker: Callable[[tuple], list], args: object, jobs: int) -> list
     return [item for part in parts for item in part]
 
 
-@dataclass(frozen=True)
-class RankEntry:
-    """One ranked graph: Wiener value and canonical graph6."""
-
-    wiener: int
-    graph6: str
-
-
 def extremal_scan(
     filt: EnumFilter,
     objective: str = "max_wiener",
     k: int = 1,
     partition: Optional[EnumPartition] = None,
-) -> list[RankEntry]:
+) -> list[tuple[int, str]]:
     """Top-k (or bottom-k) Wiener values with every attaining graph.
 
-    Returns entries grouped by value in objective order, ties sorted by
-    canonical graph6 bytes.
+    Returns (wiener, graph6) pairs grouped by value in objective order, ties
+    sorted by canonical graph6 bytes.
     """
     from .graphs import graph6_encode, wiener
 
@@ -352,8 +329,5 @@ def extremal_scan(
                 del kept[worst]
             kept[w] = []
         kept[w].append(graph6_encode(g))
-    out: list[RankEntry] = []
-    for w in sorted(kept, key=lambda v: sign * v):
-        for g6 in sorted(kept[w]):
-            out.append(RankEntry(w, g6))
-    return out
+    return [(w, g6) for w in sorted(kept, key=lambda v: sign * v)
+            for g6 in sorted(kept[w])]

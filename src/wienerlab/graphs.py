@@ -8,7 +8,8 @@ remoteness sums) are exact integers; nothing here touches floating point.
 W, the diameter and the census columns of verify read one all-sources kernel
 that grows the distance ball of every vertex by one radius per level;
 bfs_distances, sigma_* and is_connected read one frontier BFS from a vertex
-set.
+set.  Cut vertices, bridges and blocks are all answered by one bitmask
+reachability routine, _reach, which the enumerator's key test also uses.
 """
 from __future__ import annotations
 
@@ -197,7 +198,7 @@ def sigma_set(g: Graph, vertices: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# structure: parity, bridges, cut vertices, blocks
+# structure: parity; cut vertices, bridges and blocks by bitmask reachability
 
 
 def is_even_graph(g: Graph) -> bool:
@@ -210,101 +211,71 @@ def is_eulerian(g: Graph) -> bool:
     return is_connected(g) and is_even_graph(g)
 
 
-def _dfs_lowpoints(g: Graph) -> tuple[list[int], list[Edge], list[frozenset[int]]]:
-    """Iterative DFS computing cut vertices, bridges, and blocks.
+def _reach(rows: Sequence[int], seed: int, allowed: int) -> int:
+    """Vertices reachable from the vertex set ``seed & allowed`` by paths that
+    stay inside the vertex set ``allowed``, as a bitmask."""
+    seen = frontier = seed & allowed
+    while frontier:
+        reach = 0
+        while frontier:
+            b = frontier & -frontier
+            reach |= rows[b.bit_length() - 1]
+            frontier ^= b
+        frontier = reach & allowed & ~seen
+        seen |= frontier
+    return seen
 
-    Returns (cut_vertices, bridges, blocks).  Blocks are the vertex sets of
-    the biconnected components; an isolated vertex forms its own block.
-    """
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    cuts: set[int] = set()
-    bridges: list[Edge] = []
-    blocks: list[frozenset[int]] = []
-    estack: list[Edge] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        if not g.rows[root]:
-            blocks.append(frozenset({root}))
-            disc[root] = timer
-            timer += 1
-            continue
-        root_children = 0
-        stack: list[tuple[int, Iterator[int]]] = [(root, _bits(g.rows[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v == parent[u]:
-                    continue
-                if disc[v] == -1:
-                    parent[v] = u
-                    estack.append((u, v))
-                    if u == root:
-                        root_children += 1
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    stack.append((v, _bits(g.rows[v])))
-                    advanced = True
-                    break
-                elif disc[v] < disc[u]:
-                    # back edge
-                    estack.append((u, v))
-                    if disc[v] < low[u]:
-                        low[u] = disc[v]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[u] < low[p]:
-                    low[p] = low[u]
-                if low[u] >= disc[p]:
-                    # p separates u's subtree: pop one block off the edge stack
-                    members: set[int] = set()
-                    while estack:
-                        a, b = estack.pop()
-                        members.add(a)
-                        members.add(b)
-                        if (a, b) == (p, u):
-                            break
-                    blocks.append(frozenset(members))
-                    if len(members) == 2:
-                        bridges.append((min(members), max(members)))
-                    if p != root:
-                        cuts.add(p)
-        if root_children > 1:
-            cuts.add(root)
-    return (sorted(cuts), sorted(bridges), blocks)
+
+def _is_cut(v: int, rows: Sequence[int], comp: int) -> bool:
+    """True when removing v disconnects ``comp``, the component holding v."""
+    rest = comp & ~(1 << v)
+    return _reach(rows, rest & -rest, rest) != rest
+
+
+def _cut_mask(rows: Sequence[int]) -> int:
+    """Bitmask of the cut vertices, each tested inside its own component."""
+    full = left = (1 << len(rows)) - 1
+    cuts = 0
+    while left:
+        comp = _reach(rows, left & -left, full)
+        left &= ~comp
+        for v in _bits(comp):
+            if _is_cut(v, rows, comp):
+                cuts |= 1 << v
+    return cuts
+
+
+def _bridges(rows: Sequence[int], cuts: int) -> list[Edge]:
+    """Sorted bridges, given the cut-vertex mask ``cuts``.  Each end of a bridge
+    is a cut vertex or a leaf, so only edges with such an end are tested: uv
+    is a bridge when no other neighbour of u reaches v in G - u."""
+    full = (1 << len(rows)) - 1
+    ends = cuts | sum(1 << v for v, row in enumerate(rows) if row.bit_count() == 1)
+    return [
+        (u, v)
+        for u, row in enumerate(rows)
+        for v in _bits(row)
+        if u < v and (ends >> u | ends >> v) & 1
+        and not _reach(rows, row & ~(1 << v), full & ~(1 << u)) >> v & 1
+    ]
 
 
 def cut_vertices(g: Graph) -> frozenset[int]:
-    return frozenset(_dfs_lowpoints(g)[0])
+    return frozenset(_bits(_cut_mask(g.rows)))
 
 
 def bridges(g: Graph) -> list[Edge]:
-    return _dfs_lowpoints(g)[1]
+    return _bridges(g.rows, _cut_mask(g.rows))
 
 
 def is_two_edge_connected(g: Graph) -> bool:
     """Connected and bridgeless.  K_1 counts as 2-edge-connected."""
-    if g.n == 1:
-        return True
-    return is_connected(g) and not _dfs_lowpoints(g)[1]
+    return g.n == 1 or is_connected(g) and not bridges(g)
 
 
 def is_two_connected(g: Graph) -> bool:
     """At least 3 vertices, connected, and free of cut vertices."""
-    if g.n < 3:
-        return False
-    cuts, _, _ = _dfs_lowpoints(g)
-    return is_connected(g) and not cuts
+    return g.n >= 3 and is_connected(g) and not _cut_mask(g.rows)
 
 
 @dataclass(frozen=True)
@@ -328,12 +299,28 @@ class BlockDecomposition:
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Biconnected decomposition of a connected graph; raises otherwise."""
+    """Biconnected decomposition of a connected graph; raises otherwise.
+
+    The block of an edge uv is the intersection, over the cut vertices c, of
+    {c} and the part of G - c that holds {u, v} - {c}.  A block minus one
+    vertex stays connected, so it lies in every such part; by the fan lemma
+    a vertex outside it is cut off from it by one of its cut vertices.
+    """
     if not is_connected(g):
         raise ValueError("block decomposition requires a connected graph")
-    cuts, _, blocks = _dfs_lowpoints(g)
-    ordered = tuple(sorted(blocks, key=lambda b: sorted(b)))
-    cutset = frozenset(cuts)
+    rows, full = g.rows, (1 << g.n) - 1
+    cuts = _cut_mask(rows)
+    blocks = [] if g.m else [full]  # K_1 is its own block
+    for u, v in g.edges():
+        uv = 1 << u | 1 << v
+        if any(b & uv == uv for b in blocks):
+            continue
+        block = full
+        for c in _bits(cuts):
+            block &= _reach(rows, uv & ~(1 << c), full & ~(1 << c)) | 1 << c
+        blocks.append(block)
+    ordered = tuple(sorted((frozenset(_bits(b)) for b in blocks), key=sorted))
+    cutset = frozenset(_bits(cuts))
     flags = tuple(len(b & cutset) == 1 for b in ordered)
     return BlockDecomposition(ordered, cutset, flags)
 

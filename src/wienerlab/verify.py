@@ -43,7 +43,8 @@ from .formulas import (
 from .generate import EnumFilter, EnumPartition, enumerate_graphs, map_shards
 from .graphs import (
     _balls,
-    _dfs_lowpoints,
+    _bridges,
+    _cut_mask,
     build_graph,
     diameter,
     graph6_decode,
@@ -178,21 +179,25 @@ class CensusColumns(NamedTuple):
 
 def census_columns(n: int) -> CensusColumns:
     """One cached pass over connected_census(n): each class is decoded once,
-    gets one lowpoint DFS and one run of the all-sources ball kernel."""
+    gets one cut-vertex test per vertex, a bridge test only when it has a cut
+    vertex or fewer than 3 vertices, and one run of the all-sources ball
+    kernel."""
     if n in _columns_cache:
         return _columns_cache[n]
     cols = CensusColumns(*(array("H") for _ in CensusColumns._fields))
     for g6 in connected_census(n):
         g = graph6_decode(g6)
-        cuts, bridges, _ = _dfs_lowpoints(g)
+        cuts = _cut_mask(g.rows)
         levels = list(_balls(g))[:-1]  # the last level is full: it adds nothing
         sums = [sum(n - lv[s].bit_count() for lv in levels) for s in range(n)]
         biconnected = n >= 3 and not cuts
+        # a 2-connected graph is bridgeless
+        bridgeless = biconnected or not _bridges(g.rows, cuts)
         # sigma_set(g, {u, w}) = sum over d of n - |B_d[u] | B_d[w]|
         pair = max(sum(n - (lv[u] | lv[w]).bit_count() for lv in levels)
                    for u, w in combinations(range(n), 2)) if biconnected else 0
         values = (g.m, sum(sums) // 2, len(levels), max(sums), pair,
-                  biconnected, not bridges)
+                  biconnected, bridgeless)
         for col, value in zip(cols, values):
             col.append(value)
     _columns_cache[n] = cols

@@ -294,8 +294,7 @@ def test_filter_validation():
 
 
 def test_extremal_scan_max():
-    entries = extremal_scan(EnumFilter(order=8), "max_wiener", 2)
-    values = [(e.wiener, e.graph6) for e in entries]
+    values = extremal_scan(EnumFilter(order=8), "max_wiener", 2)
     assert values[0] == (64, canonical_form(cycle(8)))
     ties = [g6 for w, g6 in values if w == 58]
     assert len(ties) == 2
@@ -304,8 +303,7 @@ def test_extremal_scan_max():
 
 
 def test_extremal_scan_min():
-    entries = extremal_scan(EnumFilter(order=8), "min_wiener", 1)
-    assert [(e.wiener, e.graph6) for e in entries] == [
+    assert extremal_scan(EnumFilter(order=8), "min_wiener", 1) == [
         (32, canonical_form(cocktail_party(8)))
     ]
 
@@ -313,8 +311,8 @@ def test_extremal_scan_min():
 def test_extremal_scan_keeps_all_attaining_graphs():
     entries = extremal_scan(EnumFilter(order=7), "max_wiener", 4)
     by_value = {}
-    for e in entries:
-        by_value.setdefault(e.wiener, []).append(e.graph6)
+    for w, g6 in entries:
+        by_value.setdefault(w, []).append(g6)
     brute = {}
     for g in enumerate_graphs(EnumFilter(order=7)):
         brute.setdefault(wiener(g), []).append(graph6_encode(g))

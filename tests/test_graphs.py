@@ -350,21 +350,29 @@ def test_block_decomposition_requires_connected():
 
 
 def test_blocks_and_cuts_against_networkx():
+    """Cut vertices and bridges on connected and disconnected graphs of orders
+    1..12 (each vertex is tested inside its own component), blocks on the
+    connected ones."""
     rng = random.Random(37)
-    checked = 0
-    while checked < 40:
-        n = rng.randint(2, 8)
+    connected = split_cuts = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.15, 0.3, 0.45))
         pairs = list(itertools.combinations(range(n), 2))
-        g = build_graph(n, [e for e in pairs if rng.random() < 0.45])
-        if not is_connected(g):
-            continue
-        checked += 1
+        g = build_graph(n, [e for e in pairs if rng.random() < p])
         h = to_nx(g)
-        assert set(cut_vertices(g)) == set(nx.articulation_points(h))
-        assert set(bridges(g)) == {tuple(sorted(e)) for e in nx.bridges(h)}
+        assert cut_vertices(g) == set(nx.articulation_points(h))
+        assert bridges(g) == sorted(tuple(sorted(e)) for e in nx.bridges(h))
+        if not is_connected(g):
+            split_cuts += bool(cut_vertices(g))
+            continue
         mine = sorted(tuple(sorted(b)) for b in block_decomposition(g).blocks)
-        theirs = sorted(tuple(sorted(b)) for b in nx.biconnected_components(h))
-        assert mine == theirs
+        if n == 1:  # networkx gives K_1 no block
+            assert mine == [(0,)]
+            continue
+        connected += 1
+        assert mine == sorted(tuple(sorted(b)) for b in nx.biconnected_components(h))
+    assert connected >= 40 and split_cuts >= 40
 
 
 # ---------------------------------------------------------------------------
