@@ -1,13 +1,16 @@
 """Canonical forms, canonical labelings, and automorphism generators.
 
 Equitable-partition refinement with individualization and backtracking.
-A leaf of the search tree is a discrete ordered partition, read off as a
-relabeling; the leaf whose relabeled upper-triangle adjacency bitstring is
-lexicographically smallest defines the canonical form.  A leaf reproducing
-the bitstring of an earlier leaf certifies an automorphism, and discovered
-automorphisms prune sibling branches: two target-cell vertices in one orbit
-of the stabilizer of the individualized prefix head isomorphic subtrees, so
-only the first is explored.
+Refinement splits cells only against the cells that just split (the fresh
+fragments of McKay & Piperno, "Practical Graph Isomorphism II", 2014); it
+yields the same ordered partitions as splitting against every cell, see
+:func:`_refine`.  A leaf of the search tree is a discrete ordered partition,
+read off as a relabeling; the leaf whose relabeled upper-triangle adjacency
+bitstring is lexicographically smallest defines the canonical form.  A leaf
+reproducing the bitstring of an earlier leaf certifies an automorphism, and
+discovered automorphisms prune sibling branches: two target-cell vertices in
+one orbit of the stabilizer of the individualized prefix head isomorphic
+subtrees, so only the first is explored.
 
 The low-level entry point :func:`canon_rows` works on bitmask adjacency rows
 and is what the isomorph-free generator calls in its hot loop; the wrappers
@@ -22,41 +25,66 @@ from .graphs import Graph, graph6_encode, relabel
 Perm = tuple[int, ...]
 
 
-def _refine(rows: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
+def _refine(
+    rows: Sequence[int],
+    cells: list[list[int]],
+    fresh: Optional[list[list[int]]] = None,
+) -> list[list[int]]:
     """Coarsest equitable ordered partition refining ``cells``.
 
     Splits every cell by the vector of neighbor counts into the current
     cells, orders fragments by that vector, and repeats until stable.  The
     fragment ordering depends only on isomorphism-invariant data, so two
     isomorphic graphs refine along corresponding partitions.
+
+    The vector is taken over the cells of ``fresh`` only (all cells when
+    None), in partition order; after a pass the fresh cells are the
+    fragments it made, minus the last fragment of each split cell.  That
+    gives the same ordered partition, pass by pass, as the full vector.
+    All vertices of a cell have the same count into each cell of the pass
+    before.  So a cell that did not split adds a constant entry, and the last
+    fragment of a split cell adds the parent's count minus the counts into
+    its earlier siblings, which come before it in the vector; neither can
+    split a cell or decide the order of two fragments.  A caller that
+    splits one vertex v off a cell of an equitable partition passes
+    ``[[v]]`` for the same reason.
+
+    Counts are packed into one int key, first fresh cell most significant,
+    ``n.bit_length()`` bits per count so that any count up to n fits (the
+    labeler also runs on graphs of hundreds of vertices); comparing keys
+    compares the count vectors lexicographically.
     """
-    while True:
-        masks = [0] * len(cells)
-        for i, c in enumerate(cells):
+    width = len(rows).bit_length()
+    if fresh is None:
+        fresh = cells
+    while fresh:
+        masks = []
+        for c in fresh:
             m = 0
             for v in c:
                 m |= 1 << v
-            masks[i] = m
+            masks.append(m)
         out: list[list[int]] = []
-        changed = False
+        fresh = []
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
                 continue
-            groups: dict[tuple[int, ...], list[int]] = {}
+            groups: dict[int, list[int]] = {}
             for v in cell:
                 rv = rows[v]
-                sig = tuple((rv & m).bit_count() for m in masks)
-                groups.setdefault(sig, []).append(v)
+                key = 0
+                for m in masks:
+                    key = (key << width) | (rv & m).bit_count()
+                groups.setdefault(key, []).append(v)
             if len(groups) == 1:
                 out.append(cell)
             else:
-                changed = True
-                for sig in sorted(groups):
-                    out.append(groups[sig])
-        if not changed:
-            return out
+                parts = [groups[key] for key in sorted(groups)]
+                out += parts
+                fresh += parts[:-1]
         cells = out
+    return cells
 
 
 def _leaf_bits(n: int, rows: Sequence[int], pos: Sequence[int]) -> int:
@@ -149,7 +177,7 @@ def _search(
             tried.append(v)
             rest = [w for w in tcell if w != v]
             fixed.append(v)
-            rec(_refine(rows, head + [[v], rest] + tail), fixed)
+            rec(_refine(rows, head + [[v], rest] + tail, [[v]]), fixed)
             fixed.pop()
 
     rec(cells0, [])

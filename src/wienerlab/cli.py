@@ -10,9 +10,9 @@ Subcommands:
   verify      run one claim check, JSON report on stdout
   min-table   per-size minimum Wiener table (CSV)
 
-Exit codes: 0 success, 1 violated claim or bad input data, 2 usage or
-envelope errors.  All outputs are deterministic; timing lives only in the
-elapsed_ms field of verify reports.
+Exit codes: 0 success, 1 violated claim, bad input data or a failed
+worker, 2 usage or envelope errors.  All outputs are deterministic; timing
+lives only in the elapsed_ms field of verify reports.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from .generate import (
     SHARDS as _INTERNAL_SHARDS,  # read by perfbench's traced pool run
     EnumFilter,
     EnumPartition,
+    WorkerError,
     enumerate_graphs,
     extremal_scan,
     map_shards,
@@ -42,6 +43,12 @@ from .verify import ClaimReport, CLAIM_IDS, min_wiener_table, verify_claim
 def _fail_usage(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
+
+
+def _fail_worker(exc: WorkerError) -> None:
+    """A shard worker raised: one error line, exit code 1, no traceback."""
+    click.echo(f"error: {exc}", err=True)
+    sys.exit(1)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -211,6 +218,9 @@ def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
     except ValueError as exc:
         _fail_usage(str(exc))
         return
+    except WorkerError as exc:
+        _fail_worker(exc)
+        return
     lines.sort()
     if count:
         click.echo(str(len(lines)))
@@ -246,6 +256,9 @@ def cmd_rank(n: int, top: int, objective: str, jobs: int, fmt: str) -> None:
         entries = [(w, g6) for w in keep for g6 in sorted(found[w])]
     except ValueError as exc:
         _fail_usage(str(exc))
+        return
+    except WorkerError as exc:
+        _fail_worker(exc)
         return
     if fmt == "json":
         click.echo(json.dumps([{"wiener": w, "graph6": g6} for w, g6 in entries]))
@@ -295,6 +308,9 @@ def cmd_verify(claim_id: str, n: Optional[int], n_range: Optional[str],
     except ValueError as exc:
         _fail_usage(str(exc))
         return
+    except WorkerError as exc:
+        _fail_worker(exc)
+        return
     if fmt == "text":
         click.echo(f"{report.claim_id} {report.param_dict()} {report.status}: "
                    f"{report.notes}")
@@ -321,6 +337,9 @@ def cmd_min_table(n: int, m_max: Optional[int], jobs: int, fmt: str) -> None:
         rows = min_wiener_table(n, m_max, jobs=jobs)
     except ValueError as exc:
         _fail_usage(str(exc))
+        return
+    except WorkerError as exc:
+        _fail_worker(exc)
         return
     if fmt == "json":
         click.echo(json.dumps([

@@ -39,7 +39,10 @@ when u's final degree |S| + (|S| mod 2) exceeds the forced vertex's
 then looked ahead: its forced child is built, and the node is dropped when
 no degree is odd, or the forced child exceeds the size ceiling or fails the key test.
 A node that is kept has no level of its own: its forced child, already built
-and key-tested, is canonized and emitted right there.
+and key-tested, is canonized and emitted right there.  The node's own
+labeling then serves only its orbit test, so a node with no rival (no other
+non-cut vertex ties the key of u) is not canonized at all.  At order 9,
+4,870 of the 82,233 candidate children reach the labeler.
 
 Shards split the tree round-robin over the nodes of order max(2, n - 2)
 below n = 8 and min(n - 3, 6) from n = 8 on; every shard rebuilds the levels
@@ -246,7 +249,9 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
                 forced_rivals = _key_rivals(n, forced)
                 if forced_rivals is None:
                     continue
-            accepted = _accept(child, rivals)
+            # a rival-free penultimate node needs no orbit test, and nothing
+            # reads its labeling: its forced child is labeled on its own
+            accepted = _accept(child, rivals) if rivals or not penult else ()
             if accepted is None:
                 continue
             if k + 1 == split:
@@ -288,15 +293,27 @@ def count_graphs(
     return sum(1 for _ in enumerate_graphs(filt, partition))
 
 
+class WorkerError(RuntimeError):
+    """A shard worker of :func:`map_shards` raised."""
+
+
 def map_shards(worker: Callable[[tuple], list], args: object, jobs: int) -> list:
     """Run ``worker((args, SHARDS, i))`` for every shard i on min(jobs, SHARDS)
     processes and concatenate the results in shard order.  ``worker`` must be
-    a module-level function so that the pool can pickle it."""
+    a module-level function so that the pool can pickle it.  An exception in
+    any worker is raised here as a :class:`WorkerError` with a one-line
+    message, and no partial result is returned."""
     # imported here, not at the top: commands that never fan out stay smaller
     from multiprocessing import Pool
 
     with Pool(min(jobs, SHARDS)) as pool:
-        parts = pool.map(worker, [(args, SHARDS, i) for i in range(SHARDS)])
+        try:
+            parts = pool.map(worker, [(args, SHARDS, i) for i in range(SHARDS)])
+        except Exception as exc:
+            detail = " ".join(str(exc).split())
+            raise WorkerError(
+                f"shard worker failed: {type(exc).__name__}: {detail}"
+            ) from exc
     return [item for part in parts for item in part]
 
 

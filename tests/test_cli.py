@@ -5,6 +5,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
+from wienerlab import cli, verify
 from wienerlab.canon import canonical_form
 from wienerlab.cli import main
 from wienerlab.families import cocktail_party, cycle, vertex_glued_cycles
@@ -209,6 +210,34 @@ def test_rank_parallel_agrees_with_serial(runner):
                                     "--jobs", "2"])
     assert parallel.exit_code == 0
     assert parallel.stdout == serial.stdout
+
+
+def fail_in_shard_three(args):
+    """Shard worker that raises in shard 3; module level, since the pool
+    pickles it."""
+    _, _, index = args
+    if index == 3:
+        raise MemoryError("shard 3 ran out")
+    return []
+
+
+@pytest.mark.parametrize("command,module,worker", [
+    (["enumerate", "--n", "7", "--jobs", "2"], cli, "_shard_g6"),
+    (["rank", "--n", "7", "--jobs", "2"], cli, "_shard_rank"),
+    (["verify", "--claim", "T1", "--n", "9", "--jobs", "2"], verify,
+     "_eulerian_shard"),
+])
+def test_failed_worker_exits_one_with_one_error_line(
+        runner, monkeypatch, command, module, worker):
+    """No traceback, no output, and no census cached from the other shards."""
+    monkeypatch.setattr(verify, "_eulerian_cache", {})
+    monkeypatch.setattr(module, worker, fail_in_shard_three)
+    result = runner.invoke(main, command)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: shard worker failed: MemoryError: shard 3 ran out\n")
+    assert verify._eulerian_cache == {}
 
 
 def test_verify_json_report(runner):

@@ -12,9 +12,11 @@ from wienerlab.generate import (
     EnumFilter,
     EnumPartition,
     MAX_ORDER,
+    WorkerError,
     count_graphs,
     enumerate_graphs,
     extremal_scan,
+    map_shards,
 )
 from wienerlab.graphs import (
     build_graph,
@@ -189,11 +191,12 @@ def test_census_contents_are_pinned(kind, n, count):
 
 
 def test_order_eight_canon_calls_unsharded_and_over_shards(canon_calls):
-    """Pre-canon rejection keeps the labeler off most children, and shards
-    do not each rebuild the whole tree."""
+    """Pre-canon rejection keeps the labeler off most children, a rival-free
+    node of order n - 1 is not labeled, and shards do not each rebuild the
+    whole tree."""
     census_digest(EnumFilter(order=8))
     unsharded = canon_calls[0]
-    assert unsharded <= 700
+    assert unsharded <= 528
     canon_calls[0] = 0
     census_digest(EnumFilter(order=8), shards(8))
     assert canon_calls[0] <= 2 * unsharded
@@ -201,7 +204,7 @@ def test_order_eight_canon_calls_unsharded_and_over_shards(canon_calls):
 
 def test_order_nine_census_contents_and_canon_calls(canon_calls):
     assert census_digest(EnumFilter(order=9)) == (1782, CENSUS_SHA256["eulerian", 9])
-    assert canon_calls[0] <= 7000
+    assert canon_calls[0] <= 4870
 
 
 def test_order_eight_key_tests_are_not_repeated_for_the_forced_child(monkeypatch):
@@ -327,3 +330,18 @@ def test_extremal_scan_argument_validation():
         extremal_scan(EnumFilter(order=5), "median_wiener", 1)
     with pytest.raises(ValueError):
         extremal_scan(EnumFilter(order=5), "max_wiener", 0)
+
+
+def fail_in_shard_three(args):
+    """Shard worker that raises in shard 3, returns [index] elsewhere; it is
+    module level because the pool pickles it."""
+    _, _, index = args
+    if index == 3:
+        raise ArithmeticError("shard 3\nbroke")
+    return [index]
+
+
+def test_map_shards_reports_a_failed_worker_on_one_line():
+    with pytest.raises(WorkerError) as info:
+        map_shards(fail_in_shard_three, None, 2)
+    assert str(info.value) == "shard worker failed: ArithmeticError: shard 3 broke"
