@@ -22,6 +22,18 @@ emission needs their canonical order and the next level's orbit dedup their
 automorphisms; the orbit test itself runs only when another non-cut vertex
 ties the new vertex's key.
 
+Most children that fail the key test fail it for a reason their parent
+already decides, so they are skipped before their orbit test and before
+they are built.  A non-cut vertex v of the parent stays non-cut in the child
+whenever S holds a vertex other than v (the new vertex then keeps a neighbor
+in the connected parent minus v), and its child degree is deg(v) + [v in S]
+against |S| for the new vertex.  Per parent, _noncut_above reads one
+_cut_mask into above[t], the non-cut vertices of degree > t, and S is
+skipped when above[|S|] has a vertex outside S or, for |S| >= 2,
+above[|S| - 1] has one inside S.  Each skipped child would fail the key
+test, so the accepted set is unchanged.  At order 9 the key tests fall from
+55,362 to 14,944 and the orbit tests from 71,857 to 14,823.
+
 The search tree ranges over connected graphs.  When all degrees must end
 up even, the last vertex's neighborhood is forced to be exactly the set of
 odd-degree vertices, and a size ceiling prunes subtrees whose edge budget is
@@ -57,7 +69,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import Perm, _orbit_roots, canon_rows
-from .graphs import Graph, _bits, _is_cut, from_adjacency_masks, relabel
+from .graphs import Graph, _bits, _cut_mask, _is_cut, from_adjacency_masks, relabel
 
 MAX_ORDER = 12
 SHARDS = 8   # the split of every --jobs run, whatever the worker count
@@ -111,6 +123,18 @@ def _attach(rows: Sequence[int], s: int) -> list[int]:
     child = [row | (1 << k) if (s >> i) & 1 else row for i, row in enumerate(rows)]
     child.append(s)
     return child
+
+
+def _noncut_above(rows: Sequence[int]) -> list[int]:
+    """above[t] is the bitmask of the non-cut vertices of degree > t, for
+    t = 0..len(rows): what the key-test prefilter of a parent reads."""
+    cuts = _cut_mask(rows)
+    above = [0] * (len(rows) + 1)
+    for v, row in enumerate(rows):
+        if not cuts >> v & 1:
+            for t in range(row.bit_count()):
+                above[t] |= 1 << v
+    return above
 
 
 def _neighbor_degrees(row: int, deg: Sequence[int]) -> list[int]:
@@ -228,12 +252,18 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
         odd_q = _odd_mask(rows) if penult else 0
         remaining = n - k - 1
         future_min = 0 if remaining == 0 else remaining + (1 if even else 0)
+        above = _noncut_above(rows)
         for s in range(1, 1 << k):
-            if m_hi is not None and m + s.bit_count() + future_min > m_hi:
+            t = s.bit_count()
+            if m_hi is not None and m + t + future_min > m_hi:
                 continue
             # the new vertex k ends with degree |s| rounded up to even, the
             # forced vertex with |odd(rows) ^ s| plus that same rounding
-            if penult and s.bit_count() > (odd_q ^ s).bit_count():
+            if penult and t > (odd_q ^ s).bit_count():
+                continue
+            # a non-cut vertex of the parent that outranks the new vertex by
+            # degree alone: the key test would reject this child
+            if above[t] & ~s or t > 1 and above[t - 1] & s:
                 continue
             if parent_gens and not _is_min_in_orbit(s, parent_gens):
                 continue
@@ -243,7 +273,7 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
                 continue
             if penult:
                 odd = _odd_mask(child)
-                if not odd or m_hi is not None and m + s.bit_count() + odd.bit_count() > m_hi:
+                if not odd or m_hi is not None and m + t + odd.bit_count() > m_hi:
                     continue
                 forced = _attach(child, odd)
                 forced_rivals = _key_rivals(n, forced)
@@ -268,7 +298,7 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
                 if g is not None:
                     yield g
             else:
-                yield from rec(child, k + 1, m + s.bit_count(), accepted[1])
+                yield from rec(child, k + 1, m + t, accepted[1])
 
     yield from rec([0], 1, 0, [])
 
@@ -294,21 +324,22 @@ def count_graphs(
 
 
 class WorkerError(RuntimeError):
-    """A shard worker of :func:`map_shards` raised."""
+    """A shard worker of :func:`map_shards` raised or died."""
 
 
 def map_shards(worker: Callable[[tuple], list], args: object, jobs: int) -> list:
     """Run ``worker((args, SHARDS, i))`` for every shard i on min(jobs, SHARDS)
     processes and concatenate the results in shard order.  ``worker`` must be
     a module-level function so that the pool can pickle it.  An exception in
-    any worker is raised here as a :class:`WorkerError` with a one-line
-    message, and no partial result is returned."""
+    any worker, or a worker process that dies (BrokenProcessPool), is raised
+    here as a :class:`WorkerError` with a one-line message, and no partial
+    result is returned."""
     # imported here, not at the top: commands that never fan out stay smaller
-    from multiprocessing import Pool
+    from concurrent.futures import ProcessPoolExecutor
 
-    with Pool(min(jobs, SHARDS)) as pool:
+    with ProcessPoolExecutor(min(jobs, SHARDS)) as pool:
         try:
-            parts = pool.map(worker, [(args, SHARDS, i) for i in range(SHARDS)])
+            parts = list(pool.map(worker, [(args, SHARDS, i) for i in range(SHARDS)]))
         except Exception as exc:
             detail = " ".join(str(exc).split())
             raise WorkerError(

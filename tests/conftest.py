@@ -1,4 +1,6 @@
-"""Shared fixtures: warmed graph censuses and their build timings."""
+"""Shared fixtures: warmed graph censuses and their build timings, and a
+timeout for tests that could hang."""
+import signal
 import time
 
 import pytest
@@ -28,3 +30,16 @@ def census10():
 @pytest.fixture(scope="session")
 def census_timings():
     return CENSUS_TIMINGS
+
+
+@pytest.fixture
+def alarm():
+    """Turns a test that waits more than 60 s into a failure."""
+    def expire(signum, frame):
+        raise TimeoutError("still waiting after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -1,6 +1,8 @@
 """Command-line surface: formats, exit codes, determinism."""
 import json
+import os
 import re
+import signal
 
 import pytest
 from click.testing import CliRunner
@@ -237,6 +239,31 @@ def test_failed_worker_exits_one_with_one_error_line(
     assert result.stdout == ""
     assert result.stderr == (
         "error: shard worker failed: MemoryError: shard 3 ran out\n")
+    assert verify._eulerian_cache == {}
+
+
+TEST_PID = os.getpid()
+
+
+def kill_in_shard_three(args):
+    """Shard worker whose process SIGKILLs itself in shard 3; it never kills
+    the test process, should the shard run there."""
+    _, _, index = args
+    if index == 3 and os.getpid() != TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return []
+
+
+def test_killed_worker_exits_one_with_one_error_line(runner, monkeypatch, alarm):
+    """A worker that dies ends the command instead of hanging it, and the
+    census of the other shards is not cached."""
+    monkeypatch.setattr(verify, "_eulerian_cache", {})
+    monkeypatch.setattr(verify, "_eulerian_shard", kill_in_shard_three)
+    result = runner.invoke(main, ["verify", "--claim", "T1", "--n", "9", "--jobs", "2"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: shard worker failed: BrokenProcessPool: ")
+    assert result.stderr.count("\n") == 1
     assert verify._eulerian_cache == {}
 
 

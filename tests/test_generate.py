@@ -1,9 +1,13 @@
 """Isomorph-free enumeration: counts, dedup, filters, shards, ranking."""
 import hashlib
 import math
+import os
+import random
+import signal
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wienerlab import generate
 from wienerlab.canon import automorphism_group_order, canonical_form
@@ -207,20 +211,61 @@ def test_order_nine_census_contents_and_canon_calls(canon_calls):
     assert canon_calls[0] <= 4870
 
 
-def test_order_eight_key_tests_are_not_repeated_for_the_forced_child(monkeypatch):
-    """The forced child is key-tested once, by the lookahead that builds it,
-    and canonized at that level: 3,423 key tests at order 8, where testing
-    it again one level down made 3,647."""
-    calls = [0]
-    original = generate._key_rivals
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Counts the generator's calls of _key_rivals and _is_min_in_orbit."""
+    calls = {}
+    for name in ("_key_rivals", "_is_min_in_orbit"):
+        calls[name] = 0
 
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
+        def counting(*args, _name=name, _original=getattr(generate, name)):
+            calls[_name] += 1
+            return _original(*args)
 
-    monkeypatch.setattr(generate, "_key_rivals", counting)
+        monkeypatch.setattr(generate, name, counting)
+    return calls
+
+
+def test_order_eight_key_tests_are_not_repeated_for_the_forced_child(call_counts):
+    """The forced child is key-tested once, by the lookahead that builds it
+    (testing it again one level down made 3,647 key tests at order 8), and
+    the degree prefilter skips most losers of the key test before their
+    orbit test and before they are built (3,423 key tests and 5,524 orbit
+    tests without it)."""
     assert census_digest(EnumFilter(order=8)) == (184, CENSUS_SHA256["eulerian", 8])
-    assert calls[0] <= 3_423
+    assert call_counts["_key_rivals"] <= 1_277
+    assert call_counts["_is_min_in_orbit"] <= 1_441
+
+
+@st.composite
+def connected_rows(draw, max_order=8):
+    """Adjacency rows of a random connected graph: a random spanning tree
+    plus random extra edges."""
+    n = draw(st.integers(1, max_order))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.floats(0, 1))
+    rows = [0] * n
+    for v in range(1, n):
+        tree_parent = rng.randrange(v)
+        for u in range(v):
+            if u == tree_parent or rng.random() < density:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_rows())
+def test_degree_prefilter_rejects_only_key_test_losers(rows):
+    """The candidate loop skips S when a non-cut parent vertex outside S has
+    degree > |S|, or (|S| >= 2) one inside S has degree >= |S|; every such
+    child must fail the key test.  Checked for every S, |S| = 1 included."""
+    k = len(rows)
+    above = generate._noncut_above(rows)
+    for s in range(1, 1 << k):
+        t = s.bit_count()
+        if above[t] & ~s or t > 1 and above[t - 1] & s:
+            assert generate._key_rivals(k + 1, generate._attach(rows, s)) is None
 
 
 def test_order_two_has_no_even_class():
@@ -345,3 +390,22 @@ def test_map_shards_reports_a_failed_worker_on_one_line():
     with pytest.raises(WorkerError) as info:
         map_shards(fail_in_shard_three, None, 2)
     assert str(info.value) == "shard worker failed: ArithmeticError: shard 3 broke"
+
+
+TEST_PID = os.getpid()
+
+
+def kill_in_shard_three(args):
+    """Shard worker whose process SIGKILLs itself in shard 3; it never kills
+    the test process, should the shard run there."""
+    _, _, index = args
+    if index == 3 and os.getpid() != TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return [index]
+
+
+def test_map_shards_reports_a_killed_worker_instead_of_hanging(alarm):
+    with pytest.raises(WorkerError) as info:
+        map_shards(kill_in_shard_three, None, 2)
+    assert str(info.value).startswith("shard worker failed: BrokenProcessPool: ")
+    assert "\n" not in str(info.value)
