@@ -1,4 +1,5 @@
 """Claim harness: censuses, per-claim verdicts, the minimum-Wiener table."""
+import hashlib
 from itertools import combinations
 
 import networkx as nx
@@ -511,3 +512,62 @@ def test_reports_are_deterministic_up_to_elapsed():
     assert (a.claim_id, a.params, a.status, a.witnesses, a.notes) == (
         b.claim_id, b.params, b.status, b.witnesses, b.notes,
     )
+
+
+# Every report (claim id, params, status, witnesses, notes), or the
+# ValueError text, of verify_claim over a fixed case list: each order claim
+# below its floor, above its envelope and at in-envelope orders, plus the
+# range and dispatch cases.  The sha256 of each claim's cases is pinned, so
+# a refactor of the harness that changes any byte of a report fails here.
+PINNED_CASES = {
+    "T1": [dict(n=n) for n in (2, 11, 3, 5, 7, 9)],
+    "T2": [dict(n=n) for n in (4, 11, 5, 6, 8, 9)],
+    "L2": [dict(n=n) for n in (5, 301, 6, 7, 40)],
+    "L3": [dict(n_range=r) for r in ((26, 40), (25, 30))] + [dict(n=26)],
+    "C1": [dict(n=n) for n in (2, 9, 3, 5, 7)],
+    "C2": [dict(n=n) for n in (2, 65, 5, 6, 13, 20)],
+    "T3a": [dict(n=n) for n in (2, 9, 3, 5, 7)],
+    "T3b": [dict(n=n) for n in (2, 9, 3, 5, 7)],
+    "T3c": [dict(n=n) for n in (2, 9, 3, 5, 7)],
+    "P1": [dict(n=n) for n in (2, 11, 3, 6, 9)],
+    "P2": [dict(n=n) for n in (0, 9, 1, 4, 7)],
+    "P3": [dict(n=n) for n in (2, 11, 3, 8, 9)],
+    "Q1": [dict(n=n) for n in (8, 11, 9)] + [{}],
+    "FIG1": [dict(n=n) for n in (6, 12, 7, 8, 9, 11, 13)],
+    "GAP": [{}, dict(n_range=(26, 30)), dict(n_range=(25, 30))],
+}
+
+PINNED_DIGESTS = {
+    "T1": "eb5f52568bb886e02e7328b75b066ec6e1dc6cd2b9c046bc7142bf327f470438",
+    "T2": "0a49b0a8ebc96e7317876c950dbbb8f87208484a5c5f1adfa248c7a8919b5aa6",
+    "L2": "d58a9791854a100f888b9ea73a820ead8c5e36c15036e09f9788660a6d02a093",
+    "L3": "a3d9ef16a2669fbf16ad5de58eca0d237a9c8312099609630657d2a6237a42b8",
+    "C1": "01405bb390786adf9e504e6882c01cec4d8d81346f5cadc2782e3144d326ef1a",
+    "C2": "61636026b0cc2ea6a3dac6c27d71ab160a1463d931eace3ed94b0a7647d4c317",
+    "T3a": "b674b3b2ef3d6490a7a97c29a4810d3aeb06dba27bb6908877908058762ecbb9",
+    "T3b": "af3b7a21970f064c939890be1ff40e102214452cfe680d5c8725f45d5edb8d3a",
+    "T3c": "0ac30684971f3cb1a6dd54f6918981647717792fb9c4caf1c69d7da06baefb72",
+    "P1": "479a65a07bb90832aaadf8cd63103362fe9da92035ad664d75cee94d81c7b70a",
+    "P2": "e5ff0975e4bb41994bdc29ba99b51ba91a9837188b6bd3a1dbb464dd2199badd",
+    "P3": "df271a5b2fc39417b42b4a38d2dcfe8d3f3b6a117cfd454fec85b0b2bba93b04",
+    "Q1": "129b50e573171cf13501ff6c661832d0bdb23bc2a1dac8a34565a1df52237a26",
+    "FIG1": "5f12ad55ad9fa54e3383a95ee68933832a25d8af87fdd57c0fcaaa0cd48dc80d",
+    "GAP": "c69b569eb39c15a18d563ef9534accddafaf6c974512d3474ceae6ab555086ef",
+}
+
+
+def _pinned_outcome(claim, kwargs):
+    try:
+        r = verify_claim(claim, **kwargs)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return (r.claim_id, r.params, r.status, r.witnesses, r.notes)
+
+
+def test_claim_reports_match_their_pinned_digests(census9):
+    digests = {
+        claim: hashlib.sha256(repr(
+            [_pinned_outcome(claim, kw) for kw in cases]).encode()).hexdigest()
+        for claim, cases in PINNED_CASES.items()
+    }
+    assert digests == PINNED_DIGESTS
