@@ -20,7 +20,8 @@ import csv
 import io
 import json
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 import click
 
@@ -40,15 +41,18 @@ from .graphs import Graph, graph6_decode, graph6_encode, wiener
 from .verify import ClaimReport, CLAIM_IDS, min_wiener_table, verify_claim
 
 
-def _fail_usage(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
-
-
-def _fail_worker(exc: WorkerError) -> None:
-    """A shard worker raised: one error line, exit code 1, no traceback."""
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
+@contextmanager
+def _exit_codes() -> Iterator[None]:
+    """One error line and no traceback: a ValueError (usage, domain or
+    envelope) exits 2, a failed shard worker (WorkerError) exits 1."""
+    try:
+        yield
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
+    except WorkerError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -56,8 +60,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = text.split(":")
         return int(lo), int(hi)
     except ValueError:
-        _fail_usage(f"bad range {text!r}, expected A:B")
-        raise AssertionError  # unreachable
+        raise ValueError(f"bad range {text!r}, expected A:B") from None
 
 
 @click.group()
@@ -98,11 +101,11 @@ def _family_args(names: tuple[str, ...], n: Optional[int], a: Optional[int]) -> 
     for name in names:
         if name in ("n", "k"):
             if n is None:
-                _fail_usage("this family needs --n")
+                raise ValueError("this family needs --n")
             values.append(n)
         elif name == "a":
             if a is None:
-                _fail_usage("this family needs --a")
+                raise ValueError("this family needs --a")
             values.append(a)
     return values
 
@@ -116,11 +119,8 @@ def _family_args(names: tuple[str, ...], n: Optional[int], a: Optional[int]) -> 
 def cmd_construct(family: str, n: Optional[int], a: Optional[int], fmt: str) -> None:
     """Emit one family member (or catalog) as canonical graph6, one per line."""
     names, fn = FAMILIES[family]
-    try:
+    with _exit_codes():
         result = fn(*_family_args(names, n, a))
-    except ValueError as exc:
-        _fail_usage(str(exc))
-        return
     graphs = list(result) if isinstance(result, tuple) else [result]
     lines = [canonical_form(g) for g in graphs]
     if fmt == "json":
@@ -142,16 +142,13 @@ def cmd_formula(name: str, n: Optional[int], a: Optional[int],
     """Evaluate a closed form; exact integers (gaps print as N/24)."""
     names, fn = FORMULAS[name]
     values = []
-    for pname in names:
-        given = {"n": n, "a": a, "m": m}.get(pname)
-        if given is None:
-            _fail_usage(f"formula {name} needs --{pname}")
-        values.append(given)
-    try:
+    with _exit_codes():
+        for pname in names:
+            given = {"n": n, "a": a, "m": m}.get(pname)
+            if given is None:
+                raise ValueError(f"formula {name} needs --{pname}")
+            values.append(given)
         result = fn(*values)
-    except ValueError as exc:
-        _fail_usage(str(exc))
-        return
     if name == "second-place-gap":
         # keep the /24 denominator visible rather than auto-reducing
         result = f"{second_place_gap_numerator(*values)}/24"
@@ -203,9 +200,9 @@ def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
                   shard: Optional[int], jobs: int, fmt: str) -> None:
     """Connected even-degree graphs of order N, one canonical graph6 each,
     in sorted order."""
-    if (shards is None) != (shard is None):
-        _fail_usage("--shards and --shard must be given together")
-    try:
+    with _exit_codes():
+        if (shards is None) != (shard is None):
+            raise ValueError("--shards and --shard must be given together")
         filt = _build_filter(n, m)
         filt.validate()
         kw = {"order": filt.order, "require_even_degrees": True,
@@ -215,12 +212,6 @@ def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
         else:
             part = (1, 0) if shards is None else (shards, shard)
             lines = _shard_g6((kw, *part))
-    except ValueError as exc:
-        _fail_usage(str(exc))
-        return
-    except WorkerError as exc:
-        _fail_worker(exc)
-        return
     lines.sort()
     if count:
         click.echo(str(len(lines)))
@@ -243,9 +234,11 @@ def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
 def cmd_rank(n: int, top: int, objective: str, jobs: int, fmt: str) -> None:
     """Extreme Wiener values over connected even-degree graphs of order N."""
     obj = "max_wiener" if objective == "max" else "min_wiener"
-    try:
+    with _exit_codes():
         filt = _build_filter(n, None)
         filt.validate()
+        if top < 1:  # here, not in the workers: every --jobs value gives one error
+            raise ValueError("k must be positive")
         args = ({"order": filt.order, "require_even_degrees": True}, obj, top)
         found: dict[int, set[str]] = {}
         for w, g6 in (map_shards(_shard_rank, args, jobs) if jobs > 1
@@ -254,12 +247,6 @@ def cmd_rank(n: int, top: int, objective: str, jobs: int, fmt: str) -> None:
         sign = -1 if obj == "max_wiener" else 1
         keep = sorted(found, key=lambda w: sign * w)[:top]
         entries = [(w, g6) for w in keep for g6 in sorted(found[w])]
-    except ValueError as exc:
-        _fail_usage(str(exc))
-        return
-    except WorkerError as exc:
-        _fail_worker(exc)
-        return
     if fmt == "json":
         click.echo(json.dumps([{"wiener": w, "graph6": g6} for w, g6 in entries]))
     elif fmt == "csv":
@@ -302,15 +289,9 @@ def _report_payload(report: ClaimReport) -> dict:
 def cmd_verify(claim_id: str, n: Optional[int], n_range: Optional[str],
                jobs: int, fmt: str) -> None:
     """Run one claim check; exit 0 verified, 1 violated, 2 out of envelope."""
-    rng = _parse_range(n_range) if n_range is not None else None
-    try:
+    with _exit_codes():
+        rng = _parse_range(n_range) if n_range is not None else None
         report = verify_claim(claim_id, n=n, n_range=rng, jobs=jobs)
-    except ValueError as exc:
-        _fail_usage(str(exc))
-        return
-    except WorkerError as exc:
-        _fail_worker(exc)
-        return
     if fmt == "text":
         click.echo(f"{report.claim_id} {report.param_dict()} {report.status}: "
                    f"{report.notes}")
@@ -333,14 +314,8 @@ def cmd_verify(claim_id: str, n: Optional[int], n_range: Optional[str],
               default="csv", show_default=True)
 def cmd_min_table(n: int, m_max: Optional[int], jobs: int, fmt: str) -> None:
     """Per-size minimum Wiener values over connected even-degree graphs."""
-    try:
+    with _exit_codes():
         rows = min_wiener_table(n, m_max, jobs=jobs)
-    except ValueError as exc:
-        _fail_usage(str(exc))
-        return
-    except WorkerError as exc:
-        _fail_worker(exc)
-        return
     if fmt == "json":
         click.echo(json.dumps([
             {"n": r.n, "m": r.m, "min_wiener": r.min_wiener,

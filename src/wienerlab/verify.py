@@ -2,17 +2,27 @@
 
 Each check answers one question about Wiener indices of small Eulerian (or
 2-connected / 2-edge-connected) graphs and returns a ClaimReport with a
-machine-readable verdict.  Exhaustive checks run inside a fixed envelope:
-full Eulerian enumeration up to order 10, unrestricted enumeration up to
-order 8; beyond that the harness reports skipped_out_of_envelope rather
-than truncating silently.  C1, T3a-c and P2 scan census_columns(n), one
-cached pass over the connected census, and decode again only the first
-class that fails.  Claim ids are short protocol codes shared with the
+machine-readable verdict.  Claim ids are short protocol codes shared with the
 command line (T1, T2, L2, L3, C1, C2, T3a, T3b, T3c, P1, P2, P3, Q1, FIG1,
 GAP).
+
+One registry holds what the claims share.  Each claim is a body under a
+``_claim`` decorator (one order n) or a ``_range_claim`` decorator (the
+orders n_lo..n_hi of L3 and GAP), and the body returns only (status,
+witnesses, notes).  The decorator line is the one place for a claim's order
+floor and too-small message, its envelope and its skip note.  The verifier
+it registers in CLAIM_VERIFIERS, which verify_claim dispatches on, raises
+ValueError below the floor, reports skipped_out_of_envelope above the
+envelope rather than truncating silently, times the body and builds the
+report.  The envelopes: full Eulerian enumeration up to order 10,
+unrestricted enumeration up to order 8, glued-cycle BFS up to order 300,
+triangle placements up to order 64.  C1, T3a-c and P2 scan
+census_columns(n), one cached pass over the connected census, and decode
+again only the first class that fails.
 """
 from __future__ import annotations
 
+import functools
 import time
 from array import array
 from dataclasses import dataclass
@@ -84,22 +94,64 @@ class ClaimReport:
         return dict(self.params)
 
 
-def _report(
-    claim_id: str,
-    params: dict,
-    status: str,
-    witnesses: Sequence[str],
-    notes: str,
-    t0: float,
-) -> ClaimReport:
-    return ClaimReport(
-        claim_id=claim_id,
-        params=tuple(sorted(params.items())),
-        status=status,
-        witnesses=tuple(witnesses),
-        elapsed=time.perf_counter() - t0,
-        notes=notes,
-    )
+# ---------------------------------------------------------------------------
+# Claim registry
+
+
+Outcome = tuple[str, Sequence[str], str]  # what a claim body returns: status, witnesses, notes
+
+CLAIM_VERIFIERS: dict[str, Callable[..., ClaimReport]] = {}
+_RANGE_DEFAULTS: dict[str, Optional[tuple[int, int]]] = {}  # range claim -> range run without one
+
+
+def _timed(claim_id: str, params: dict, run: Callable[[], Outcome]) -> ClaimReport:
+    """Time run() and wrap the (status, witnesses, notes) it returns."""
+    t0 = time.perf_counter()
+    status, witnesses, notes = run()
+    return ClaimReport(claim_id, tuple(sorted(params.items())), status,
+                       tuple(witnesses), time.perf_counter() - t0, notes)
+
+
+def _claim(claim_id: str, floor: Optional[int] = 3, too_small: str = "",
+           envelope: Optional[int] = None,
+           skip_note: str = "exhaustive check requires n <= {}"):
+    """Register body(n, jobs) -> Outcome as the verifier of one order n.
+
+    The verifier ``(n, jobs=None) -> ClaimReport`` raises ValueError with
+    too_small (default "order must be at least <floor>") for n < floor, and
+    reports skipped_out_of_envelope with skip_note (formatted with the
+    envelope) for n > envelope.  A floor or envelope of None is no bound.
+    """
+    def register(body: Callable[[int, Optional[int]], Outcome]) -> Callable[..., ClaimReport]:
+        @functools.wraps(body)
+        def verifier(n: int, jobs: Optional[int] = None) -> ClaimReport:
+            if floor is not None and n < floor:
+                raise ValueError(too_small or f"order must be at least {floor}")
+            if envelope is not None and n > envelope:
+                return _timed(claim_id, {"n": n},
+                              lambda: (SKIPPED, (), skip_note.format(envelope)))
+            return _timed(claim_id, {"n": n}, lambda: body(n, jobs))
+        CLAIM_VERIFIERS[claim_id] = verifier
+        return verifier
+    return register
+
+
+def _range_claim(claim_id: str, default: Optional[tuple[int, int]] = None):
+    """Register body(n_lo, n_hi) -> Outcome as the verifier of the orders
+    n_lo..n_hi, which must lie within [26, 5000].  default is the range
+    swept when none is given; without one the claim requires a range."""
+    def register(body: Callable[[int, int], Outcome]) -> Callable[..., ClaimReport]:
+        @functools.wraps(body)
+        def verifier(n_lo: int, n_hi: int) -> ClaimReport:
+            if not 26 <= n_lo <= n_hi <= 5000:
+                raise ValueError("range must lie within [26, 5000]")
+            return _timed(claim_id, {"n_lo": n_lo, "n_hi": n_hi},
+                          lambda: body(n_lo, n_hi))
+        verifier.__defaults__ = default
+        CLAIM_VERIFIERS[claim_id] = verifier
+        _RANGE_DEFAULTS[claim_id] = default
+        return verifier
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +261,8 @@ def _first_above(col: array, cap: int, flags: array) -> Optional[int]:
     return next((i for i, (f, v) in enumerate(zip(flags, col)) if f and v > cap), None)
 
 
-def _sum_violation(claim_id: str, params: dict, n: int, col: array, flags: array,
-                  size: int, cap: int, t0: float) -> Optional[ClaimReport]:
+def _sum_violation(n: int, col: array, flags: array, size: int,
+                   cap: int) -> Optional[Outcome]:
     """Report on the first flagged class above cap, naming its first vertex
     (size 1) or pair (size 2) with distance sum above cap; else None."""
     i = _first_above(col, cap, flags)
@@ -221,58 +273,40 @@ def _sum_violation(claim_id: str, params: dict, n: int, col: array, flags: array
     a, s = next((a, s) for a in combinations(range(g.n), size)
                 for s in [sigma_set(g, a)] if s > cap)
     where = f"vertex {a[0]}" if size == 1 else f"pair ({a[0]},{a[1]})"
-    return _report(claim_id, params, VIOLATED, (g6,),
-                   f"{where} has distance sum {s} > {cap}", t0)
+    return VIOLATED, (g6,), f"{where} has distance sum {s} > {cap}"
 
 
 def _second_place(n: int, jobs: Optional[int]) -> tuple[int, tuple[str, ...]]:
     """Largest Wiener value among non-cycle Eulerian classes, with its graphs."""
-    rows = eulerian_census(n, jobs)
     cyc = canonical_form(cycle(n))
-    best = -1
-    graphs: list[str] = []
-    for w, _, g6 in rows:
-        if g6 == cyc:
-            continue
-        if w > best:
-            best, graphs = w, [g6]
-        elif w == best:
-            graphs.append(g6)
-    return best, tuple(sorted(graphs))
+    rows = [r for r in eulerian_census(n, jobs) if r[2] != cyc]  # by descending W
+    best = rows[0][0]
+    return best, tuple(sorted(g6 for w, _, g6 in rows if w == best))
 
 
 # ---------------------------------------------------------------------------
 # Extremal claims
 
 
-def verify_T1(n: int, jobs: Optional[int] = None) -> ClaimReport:
+@_claim("T1", envelope=EULERIAN_ENVELOPE)
+def verify_T1(n: int, jobs: Optional[int]) -> Outcome:
     """The cycle uniquely maximizes W among connected even-degree graphs."""
-    t0 = time.perf_counter()
-    if n < 3:
-        raise ValueError("order must be at least 3")
-    params = {"n": n}
-    if n > EULERIAN_ENVELOPE:
-        return _report("T1", params, SKIPPED, (),
-                       f"exhaustive check requires n <= {EULERIAN_ENVELOPE}", t0)
     rows = eulerian_census(n, jobs)
     w_max = rows[0][0]
     top = tuple(sorted(g6 for w, _, g6 in rows if w == w_max))
     expected = (canonical_form(cycle(n)),)
     if top == expected and w_max == wiener_cycle(n):
-        return _report(
-            "T1", params, VERIFIED, expected,
-            f"max W = {w_max} over {len(rows)} classes; unique maximizer is the cycle",
-            t0,
-        )
-    return _report(
-        "T1", params, VIOLATED, top,
+        return VERIFIED, expected, (
+            f"max W = {w_max} over {len(rows)} classes; unique maximizer is the cycle")
+    return VIOLATED, top, (
         f"maximizers at W = {w_max} are {list(top)}, expected the cycle alone "
-        f"at {wiener_cycle(n)}",
-        t0,
-    )
+        f"at {wiener_cycle(n)}")
 
 
-def verify_T2(n: int, jobs: Optional[int] = None) -> ClaimReport:
+@_claim("T2", floor=5, envelope=EULERIAN_ENVELOPE,
+        skip_note="exhaustive check requires n <= {}; "
+                  "see FIG1, L3 and GAP for the large-n evidence trail")
+def verify_T2(n: int, jobs: Optional[int]) -> Outcome:
     """Second-largest W among connected even-degree graphs.
 
     Away from the sporadic orders the runner-up should be exactly the
@@ -283,14 +317,6 @@ def verify_T2(n: int, jobs: Optional[int] = None) -> ClaimReport:
     one above the triangle-glued cycle at 113, so the report there is
     ``violated`` with the chain as its single witness.
     """
-    t0 = time.perf_counter()
-    if n < 5:
-        raise ValueError("order must be at least 5")
-    params = {"n": n}
-    if n > EULERIAN_ENVELOPE:
-        return _report("T2", params, SKIPPED, (),
-                       f"exhaustive check requires n <= {EULERIAN_ENVELOPE}; "
-                       "see FIG1, L3 and GAP for the large-n evidence trail", t0)
     second, actual = _second_place(n, jobs)
     glued = canonical_form(vertex_glued_cycles(n, 3))
     if n in RUNNER_UP_ORDERS:
@@ -305,21 +331,16 @@ def verify_T2(n: int, jobs: Optional[int] = None) -> ClaimReport:
         expected = (glued,)
         description = "the triangle-glued cycle alone"
     if actual == expected:
-        return _report(
-            "T2", params, VERIFIED, expected,
-            f"second-largest W = {second}; runner-up set is {description}",
-            t0,
-        )
+        return VERIFIED, expected, (
+            f"second-largest W = {second}; runner-up set is {description}")
     w_glued = wiener_vertex_glued_triangle(n)
-    return _report(
-        "T2", params, VIOLATED, actual,
+    return VIOLATED, actual, (
         f"runner-up set at W = {second} is {list(actual)} but expected "
-        f"{description} ({list(expected)}); triangle-glued cycle has W = {w_glued}",
-        t0,
-    )
+        f"{description} ({list(expected)}); triangle-glued cycle has W = {w_glued}")
 
 
-def verify_FIG1(n: int, jobs: Optional[int] = None) -> ClaimReport:
+@_claim("FIG1", floor=None)  # runner_up_catalog raises for unsupported orders
+def verify_FIG1(n: int, jobs: Optional[int]) -> Outcome:
     """Cataloged runner-up graphs: structure, and their claimed Wiener values.
 
     Within the enumeration envelope the catalog must sit inside the true
@@ -329,11 +350,10 @@ def verify_FIG1(n: int, jobs: Optional[int] = None) -> ClaimReport:
     chain [3,4,4,3] has W = 150 against 149, so the report there is
     ``violated``.
     """
-    t0 = time.perf_counter()
-    params = {"n": n}
-    catalog = runner_up_catalog(n)  # raises for unsupported orders
+    catalog = runner_up_catalog(n)
     cyc = canonical_form(cycle(n))
     forms = [canonical_form(g) for g in catalog]
+    witnesses = tuple(sorted(forms))
     problems: list[str] = []
     for g, form in zip(catalog, forms):
         if g.n != n:
@@ -345,41 +365,28 @@ def verify_FIG1(n: int, jobs: Optional[int] = None) -> ClaimReport:
     if len(set(forms)) != len(forms):
         problems.append("catalog contains isomorphic duplicates")
     if problems:
-        return _report("FIG1", params, VIOLATED, tuple(sorted(forms)),
-                       "; ".join(problems), t0)
+        return VIOLATED, witnesses, "; ".join(problems)
     if n <= EULERIAN_ENVELOPE:
         second, actual = _second_place(n, jobs)
         missing = [f for f in forms if f not in actual]
         values = [wiener(g) for g in catalog]
         if missing or any(v != second for v in values):
-            return _report(
-                "FIG1", params, VIOLATED, tuple(sorted(forms)),
+            return VIOLATED, witnesses, (
                 f"catalog values {values} vs enumerated second place {second}; "
-                f"absent from runner-up set: {missing}",
-                t0,
-            )
+                f"absent from runner-up set: {missing}")
         glued_w = wiener_vertex_glued_triangle(n)
         tie = "ties" if glued_w == second else "strictly exceeds"
-        return _report(
-            "FIG1", params, VERIFIED, tuple(sorted(forms)),
+        return VERIFIED, witnesses, (
             f"catalog realizes the enumerated second place W = {second}; "
-            f"it {tie} the triangle-glued cycle at {glued_w}",
-            t0,
-        )
+            f"it {tie} the triangle-glued cycle at {glued_w}")
     claimed = wiener_vertex_glued_triangle(n)
     values = [wiener(g) for g in catalog]
     if all(v == claimed for v in values):
-        return _report(
-            "FIG1", params, VERIFIED, tuple(sorted(forms)),
-            f"W(catalog) = {claimed} = W(triangle-glued cycle), as claimed",
-            t0,
-        )
-    return _report(
-        "FIG1", params, VIOLATED, tuple(sorted(forms)),
+        return VERIFIED, witnesses, (
+            f"W(catalog) = {claimed} = W(triangle-glued cycle), as claimed")
+    return VIOLATED, witnesses, (
         f"claimed tie fails: W(catalog) = {values} but the triangle-glued "
-        f"cycle has W = {claimed}",
-        t0,
-    )
+        f"cycle has W = {claimed}")
 
 
 def _chain_order(n: int) -> list[int]:
@@ -397,15 +404,10 @@ def _chain_order(n: int) -> list[int]:
     return list(range(3, 2 * k - 1)) + [2 * k, 2 * k - 1, 2 * k + 1]
 
 
-def verify_L2(n: int) -> ClaimReport:
+@_claim("L2", floor=6, envelope=CHAIN_ENVELOPE,
+        skip_note="BFS sweep supported for n <= {}")
+def verify_L2(n: int, jobs: Optional[int]) -> Outcome:
     """Strict ordering of W over the one-cutvertex glued-cycle family."""
-    t0 = time.perf_counter()
-    if n < 6:
-        raise ValueError("order must be at least 6")
-    params = {"n": n}
-    if n > CHAIN_ENVELOPE:
-        return _report("L2", params, SKIPPED, (),
-                       f"BFS sweep supported for n <= {CHAIN_ENVELOPE}", t0)
     order = _chain_order(n)
     values = {a: wiener(vertex_glued_cycles(n, a)) for a in order}
     for a, b in zip(order, order[1:]):
@@ -413,22 +415,16 @@ def verify_L2(n: int) -> ClaimReport:
             witnesses = tuple(sorted(
                 canonical_form(vertex_glued_cycles(n, x)) for x in (a, b)
             ))
-            return _report(
-                "L2", params, VIOLATED, witnesses,
+            return VIOLATED, witnesses, (
                 f"expected W at split {a} to exceed split {b}, got "
-                f"{values[a]} vs {values[b]}",
-                t0,
-            )
+                f"{values[a]} vs {values[b]}")
     chain = " > ".join(f"{values[a]}(a={a})" for a in order)
-    return _report("L2", params, VERIFIED, (), f"chain holds: {chain}", t0)
+    return VERIFIED, (), f"chain holds: {chain}"
 
 
-def verify_L3(n_lo: int, n_hi: int) -> ClaimReport:
+@_range_claim("L3")
+def verify_L3(n_lo: int, n_hi: int) -> Outcome:
     """Edge-glued pairs never beat the triangle-glued cycle; equality at {4, n-2}."""
-    t0 = time.perf_counter()
-    if not 26 <= n_lo <= n_hi <= 5000:
-        raise ValueError("range must lie within [26, 5000]")
-    params = {"n_lo": n_lo, "n_hi": n_hi}
     for n in range(n_lo, n_hi + 1):
         cap = wiener_vertex_glued_triangle(n)
         equal = []
@@ -436,67 +432,43 @@ def verify_L3(n_lo: int, n_hi: int) -> ClaimReport:
             w = wiener_edge_glued(n, a)
             if w > cap:
                 witness = canonical_form(edge_glued_cycles(n, a))
-                return _report(
-                    "L3", params, VIOLATED, (witness,),
-                    f"W = {w} at (n={n}, a={a}) exceeds the cap {cap}",
-                    t0,
-                )
+                return VIOLATED, (witness,), (
+                    f"W = {w} at (n={n}, a={a}) exceeds the cap {cap}")
             if w == cap:
                 equal.append(a)
         if equal != [4, n - 2]:
             witnesses = tuple(sorted(
                 canonical_form(edge_glued_cycles(n, a)) for a in equal
             )) or (canonical_form(edge_glued_cycles(n, 4)),)
-            return _report(
-                "L3", params, VIOLATED, witnesses,
-                f"equality set at n={n} is {equal}, expected [4, {n - 2}]",
-                t0,
-            )
-    return _report(
-        "L3", params, VERIFIED, (),
+            return VIOLATED, witnesses, (
+                f"equality set at n={n} is {equal}, expected [4, {n - 2}]")
+    return VERIFIED, (), (
         f"swept n in [{n_lo}, {n_hi}], all splits in [4, n-2]; "
-        "equality exactly at the two extreme splits",
-        t0,
-    )
+        "equality exactly at the two extreme splits")
 
 
 # ---------------------------------------------------------------------------
 # Distance-sum bounds over enumerated graphs
 
 
-def verify_C1(n: int) -> ClaimReport:
+@_claim("C1", envelope=GENERAL_ENVELOPE)
+def verify_C1(n: int, jobs: Optional[int]) -> Outcome:
     """Pair distance sums in 2-connected graphs never beat the cycle's adjacent pair."""
-    t0 = time.perf_counter()
-    if n < 3:
-        raise ValueError("order must be at least 3")
-    params = {"n": n}
-    if n > GENERAL_ENVELOPE:
-        return _report("C1", params, SKIPPED, (),
-                       f"exhaustive check requires n <= {GENERAL_ENVELOPE}", t0)
     bound = sigma_set(cycle(n), {0, 1})
     cols = census_columns(n)
-    bad = _sum_violation("C1", params, n, cols.max_pair, cols.biconnected, 2, bound, t0)
-    return bad or _report(
-        "C1", params, VERIFIED, (),
+    return _sum_violation(n, cols.max_pair, cols.biconnected, 2, bound) or (
+        VERIFIED, (),
         f"all pairs in {sum(cols.biconnected)} two-connected graphs stay at or "
-        f"below the cycle's adjacent-pair value {bound}",
-        t0,
-    )
+        f"below the cycle's adjacent-pair value {bound}")
 
 
-def verify_C2(n: int) -> ClaimReport:
+@_claim("C2", envelope=TRIANGLE_ENVELOPE,
+        skip_note="placement sweep supported for n <= {}")
+def verify_C2(n: int, jobs: Optional[int]) -> Outcome:
     """Adding any off-cycle triangle of chords to C_n lands strictly below
     the triangle-glued cycle's Wiener value."""
-    t0 = time.perf_counter()
-    if n < 3:
-        raise ValueError("order must be at least 3")
-    params = {"n": n}
-    if n > TRIANGLE_ENVELOPE:
-        return _report("C2", params, SKIPPED, (),
-                       f"placement sweep supported for n <= {TRIANGLE_ENVELOPE}", t0)
     if n < 6:
-        return _report("C2", params, VERIFIED, (),
-                       "no off-cycle triangle placement exists; vacuously true", t0)
+        return VERIFIED, (), "no off-cycle triangle placement exists; vacuously true"
     ring = [(i, (i + 1) % n) for i in range(n)]
     cap = wiener_vertex_glued_triangle(n)
     placements = 0
@@ -506,112 +478,66 @@ def verify_C2(n: int) -> ClaimReport:
             g = build_graph(n, ring + [(0, j), (j, k), (0, k)])
             w = wiener(g)
             if not w < cap:
-                return _report(
-                    "C2", params, VIOLATED, (canonical_form(g),),
+                return VIOLATED, (canonical_form(g),), (
                     f"triangle at positions (0,{j},{k}) gives W = {w}, "
-                    f"not below {cap}",
-                    t0,
-                )
-    return _report(
-        "C2", params, VERIFIED, (),
+                    f"not below {cap}")
+    return VERIFIED, (), (
         f"all {placements} triangle placements (up to rotation) stay below "
-        f"W = {cap}",
-        t0,
-    )
+        f"W = {cap}")
 
 
-def verify_T3a(n: int) -> ClaimReport:
+@_claim("T3a", envelope=GENERAL_ENVELOPE)
+def verify_T3a(n: int, jobs: Optional[int]) -> Outcome:
     """2-edge-connected graphs: W at most the cycle's, equality only for the cycle."""
-    t0 = time.perf_counter()
-    if n < 3:
-        raise ValueError("order must be at least 3")
-    params = {"n": n}
-    if n > GENERAL_ENVELOPE:
-        return _report("T3a", params, SKIPPED, (),
-                       f"exhaustive check requires n <= {GENERAL_ENVELOPE}", t0)
     cap = connectivity_bounds(n)["max_wiener_two_edge_connected"]
     cyc = canonical_form(cycle(n))
     census, cols = connected_census(n), census_columns(n)
     i = _first_above(cols.wiener, cap, cols.bridgeless)
     if i is not None:
-        return _report("T3a", params, VIOLATED, (census[i],),
-                       f"W = {cols.wiener[i]} exceeds the cap {cap}", t0)
+        return VIOLATED, (census[i],), f"W = {cols.wiener[i]} exceeds the cap {cap}"
     attainers = [g6 for g6, f, w in zip(census, cols.bridgeless,
                                         cols.wiener) if f and w == cap]
     if attainers != [cyc]:
-        return _report(
-            "T3a", params, VIOLATED, tuple(sorted(attainers)) or (cyc,),
-            f"graphs attaining W = {cap}: {attainers}, expected the cycle alone",
-            t0,
-        )
-    return _report(
-        "T3a", params, VERIFIED, (cyc,),
+        return VIOLATED, tuple(sorted(attainers)) or (cyc,), (
+            f"graphs attaining W = {cap}: {attainers}, expected the cycle alone")
+    return VERIFIED, (cyc,), (
         f"{sum(cols.bridgeless)} two-edge-connected graphs; W <= {cap} "
-        "with the cycle the sole equality case",
-        t0,
-    )
+        "with the cycle the sole equality case")
 
 
-def verify_T3b(n: int) -> ClaimReport:
+@_claim("T3b", envelope=GENERAL_ENVELOPE)
+def verify_T3b(n: int, jobs: Optional[int]) -> Outcome:
     """2-connected graphs: every vertex distance sum at most floor(n^2/4)."""
-    t0 = time.perf_counter()
-    if n < 3:
-        raise ValueError("order must be at least 3")
-    params = {"n": n}
-    if n > GENERAL_ENVELOPE:
-        return _report("T3b", params, SKIPPED, (),
-                       f"exhaustive check requires n <= {GENERAL_ENVELOPE}", t0)
     cap = connectivity_bounds(n)["max_sigma_two_connected"]
     cycle_sigma = sigma_vertex(cycle(n), 0)
     if cycle_sigma != cap:
-        return _report(
-            "T3b", params, VIOLATED, (canonical_form(cycle(n)),),
-            f"cycle vertex distance sum {cycle_sigma} misses the cap {cap}",
-            t0,
-        )
+        return VIOLATED, (canonical_form(cycle(n)),), (
+            f"cycle vertex distance sum {cycle_sigma} misses the cap {cap}")
     cols = census_columns(n)
-    bad = _sum_violation("T3b", params, n, cols.max_sigma, cols.biconnected, 1, cap, t0)
-    return bad or _report(
-        "T3b", params, VERIFIED, (),
+    return _sum_violation(n, cols.max_sigma, cols.biconnected, 1, cap) or (
+        VERIFIED, (),
         f"all vertices of {sum(cols.biconnected)} two-connected graphs stay "
-        f"at or below {cap}; the cycle attains it",
-        t0,
-    )
+        f"at or below {cap}; the cycle attains it")
 
 
-def verify_T3c(n: int) -> ClaimReport:
+@_claim("T3c", envelope=GENERAL_ENVELOPE)
+def verify_T3c(n: int, jobs: Optional[int]) -> Outcome:
     """2-edge-connected graphs: every vertex distance sum at most n(n-1)/3."""
-    t0 = time.perf_counter()
-    if n < 3:
-        raise ValueError("order must be at least 3")
-    params = {"n": n}
-    if n > GENERAL_ENVELOPE:
-        return _report("T3c", params, SKIPPED, (),
-                       f"exhaustive check requires n <= {GENERAL_ENVELOPE}", t0)
     cap = connectivity_bounds(n)["max_sigma_two_edge_connected"]
     cols = census_columns(n)
-    bad = _sum_violation("T3c", params, n, cols.max_sigma, cols.bridgeless, 1, cap, t0)
-    return bad or _report(
-        "T3c", params, VERIFIED, (),
+    return _sum_violation(n, cols.max_sigma, cols.bridgeless, 1, cap) or (
+        VERIFIED, (),
         f"all vertices of {sum(cols.bridgeless)} two-edge-connected "
-        f"graphs stay at or below {cap}",
-        t0,
-    )
+        f"graphs stay at or below {cap}")
 
 
 # ---------------------------------------------------------------------------
 # Minimum-side claims
 
 
-def verify_P1(n: int, jobs: Optional[int] = None) -> ClaimReport:
+@_claim("P1", envelope=EULERIAN_ENVELOPE)
+def verify_P1(n: int, jobs: Optional[int]) -> Outcome:
     """Minimum W among connected even-degree graphs, with its unique attainer."""
-    t0 = time.perf_counter()
-    if n < 3:
-        raise ValueError("order must be at least 3")
-    params = {"n": n}
-    if n > EULERIAN_ENVELOPE:
-        return _report("P1", params, SKIPPED, (),
-                       f"exhaustive check requires n <= {EULERIAN_ENVELOPE}", t0)
     rows = eulerian_census(n, jobs)
     w_min = min(w for w, _, _ in rows)
     argmin = tuple(sorted(g6 for w, _, g6 in rows if w == w_min))
@@ -619,58 +545,36 @@ def verify_P1(n: int, jobs: Optional[int] = None) -> ClaimReport:
     expected = (canonical_form(extremal),)
     name = "the complete graph" if n % 2 else "the complete graph minus a perfect matching"
     if w_min == min_wiener_eulerian(n) and argmin == expected:
-        return _report(
-            "P1", params, VERIFIED, expected,
-            f"min W = {w_min} over {len(rows)} classes; unique minimizer is {name}",
-            t0,
-        )
-    return _report(
-        "P1", params, VIOLATED, argmin,
+        return VERIFIED, expected, (
+            f"min W = {w_min} over {len(rows)} classes; unique minimizer is {name}")
+    return VIOLATED, argmin, (
         f"min W = {w_min} attained by {list(argmin)}, expected "
-        f"{min_wiener_eulerian(n)} uniquely at {name}",
-        t0,
-    )
+        f"{min_wiener_eulerian(n)} uniquely at {name}")
 
 
-def verify_P2(n: int) -> ClaimReport:
+@_claim("P2", floor=1, too_small="order must be positive", envelope=GENERAL_ENVELOPE)
+def verify_P2(n: int, jobs: Optional[int]) -> Outcome:
     """W >= n(n-1) - m for connected graphs, equality exactly at diameter <= 2."""
-    t0 = time.perf_counter()
-    if n < 1:
-        raise ValueError("order must be positive")
-    params = {"n": n}
-    if n > GENERAL_ENVELOPE:
-        return _report("P2", params, SKIPPED, (),
-                       f"exhaustive check requires n <= {GENERAL_ENVELOPE}", t0)
     census, cols = connected_census(n), census_columns(n)
     for g6, m, w, d in zip(census, cols.size, cols.wiener, cols.diameter):
         floor = wiener_lower_bound(n, m)
         if w < floor:
-            return _report("P2", params, VIOLATED, (g6,),
-                           f"W = {w} below the floor {floor}", t0)
+            return VIOLATED, (g6,), f"W = {w} below the floor {floor}"
         if (w == floor) != (d <= 2):
-            return _report("P2", params, VIOLATED, (g6,), "equality/diameter mismatch: "
-                           f"W = {w}, floor = {floor}, diameter = {d}", t0)
-    return _report(
-        "P2", params, VERIFIED, (),
+            return VIOLATED, (g6,), ("equality/diameter mismatch: "
+                                     f"W = {w}, floor = {floor}, diameter = {d}")
+    return VERIFIED, (), (
         f"bound and equality characterization hold on all {len(census)} "
-        "connected graphs",
-        t0,
-    )
+        "connected graphs")
 
 
-def verify_P3(n: int, jobs: Optional[int] = None) -> ClaimReport:
+@_claim("P3", envelope=EULERIAN_ENVELOPE)
+def verify_P3(n: int, jobs: Optional[int]) -> Outcome:
     """Minimum size of diameter-2 connected even-degree graphs.
 
     The sharpness claim starts at order 9; below that the observed minimum
     is reported as data with no claim attached.
     """
-    t0 = time.perf_counter()
-    if n < 3:
-        raise ValueError("order must be at least 3")
-    params = {"n": n}
-    if n > EULERIAN_ENVELOPE:
-        return _report("P3", params, SKIPPED, (),
-                       f"exhaustive check requires n <= {EULERIAN_ENVELOPE}", t0)
     rows = sorted(eulerian_census(n, jobs), key=lambda r: (r[1], r[2]))
     best_m: Optional[int] = None
     attainers: list[str] = []
@@ -682,31 +586,21 @@ def verify_P3(n: int, jobs: Optional[int] = None) -> ClaimReport:
             best_m = m
             attainers.append(g6)
     if best_m is None:
-        return _report("P3", params, VIOLATED, (),
-                       "no diameter-2 class found at this order", t0)
+        return VIOLATED, (), "no diameter-2 class found at this order"
     if n < 9:
-        return _report(
-            "P3", params, VERIFIED, tuple(sorted(attainers)),
+        return VERIFIED, tuple(sorted(attainers)), (
             f"no sharpness claim at this order; observed minimum size {best_m} "
-            f"with {len(attainers)} attaining class(es) — new data",
-            t0,
-        )
+            f"with {len(attainers)} attaining class(es) — new data")
     target = min_size_diameter_two(n)
     built = sparse_diameter_two(n)
     built_form = canonical_form(built)
     if best_m == target and built.m == target and built_form in attainers:
-        return _report(
-            "P3", params, VERIFIED, tuple(sorted(attainers)),
+        return VERIFIED, tuple(sorted(attainers)), (
             f"minimum size is {target}, attained by {len(attainers)} class(es) "
-            "including the stated construction",
-            t0,
-        )
-    return _report(
-        "P3", params, VIOLATED, tuple(sorted(attainers)) or (built_form,),
+            "including the stated construction")
+    return VIOLATED, tuple(sorted(attainers)) or (built_form,), (
         f"observed minimum size {best_m} vs formula {target}; construction "
-        f"size {built.m}, present: {built_form in attainers}",
-        t0,
-    )
+        f"size {built.m}, present: {built_form in attainers}")
 
 
 # ---------------------------------------------------------------------------
@@ -753,120 +647,74 @@ def min_wiener_table(
     return tuple(out)
 
 
-def verify_Q1(n: int, jobs: Optional[int] = None) -> ClaimReport:
+@_claim("Q1", floor=9, too_small="the question concerns orders 9 and up",
+        envelope=EULERIAN_ENVELOPE)
+def verify_Q1(n: int, jobs: Optional[int]) -> Outcome:
     """Open-question data: per-size minimum W below the diameter-2 threshold.
 
     Consistency requirements: witnesses re-validate, and every minimum sits
     strictly above the diameter-2 floor n(n-1) - m (no diameter-2 graph
     exists at these sizes).
     """
-    t0 = time.perf_counter()
-    if n < 9:
-        raise ValueError("the question concerns orders 9 and up")
-    params = {"n": n}
-    if n > EULERIAN_ENVELOPE:
-        return _report("Q1", params, SKIPPED, (),
-                       f"exhaustive check requires n <= {EULERIAN_ENVELOPE}", t0)
-    table = min_wiener_table(n, jobs=jobs)
     summaries = []
-    for row in table:
+    for row in min_wiener_table(n, jobs=jobs):
         if row.min_wiener is None:
             if row.m >= n:
-                return _report("Q1", params, VIOLATED,
-                               (canonical_form(cycle(n)),),
-                               f"no graph recorded at size {row.m}", t0)
+                return VIOLATED, (canonical_form(cycle(n)),), (
+                    f"no graph recorded at size {row.m}")
             summaries.append(f"m={row.m}: none")
             continue
         floor = wiener_lower_bound(n, row.m)
         if row.min_wiener <= floor:
-            return _report(
-                "Q1", params, VIOLATED, row.witnesses,
+            return VIOLATED, row.witnesses, (
                 f"minimum {row.min_wiener} at size {row.m} does not exceed "
-                f"the diameter-2 floor {floor}",
-                t0,
-            )
+                f"the diameter-2 floor {floor}")
         for g6 in row.witnesses:
             g = graph6_decode(g6)
             if (g.n, g.m) != (n, row.m) or not is_even_graph(g) \
                     or wiener(g) != row.min_wiener:
-                return _report("Q1", params, VIOLATED, (g6,),
-                               f"witness fails re-validation at size {row.m}", t0)
+                return VIOLATED, (g6,), f"witness fails re-validation at size {row.m}"
         summaries.append(
             f"m={row.m}: min W = {row.min_wiener} ({len(row.witnesses)} witness(es))"
         )
-    return _report(
-        "Q1", params, VERIFIED, (),
+    return VERIFIED, (), (
         "table consistent, minima strictly above the diameter-2 floor; "
-        + "; ".join(summaries),
-        t0,
-    )
+        + "; ".join(summaries))
 
 
 # ---------------------------------------------------------------------------
 # Gap polynomial
 
 
-def verify_GAP(n_lo: int = 26, n_hi: int = 500) -> ClaimReport:
+@_range_claim("GAP", default=(26, 500))
+def verify_GAP(n_lo: int, n_hi: int) -> Outcome:
     """Second-place gap polynomial: positive, nondecreasing in the split,
     and matching the quoted quadratic at the triangle split."""
-    t0 = time.perf_counter()
-    if not 26 <= n_lo <= n_hi <= 5000:
-        raise ValueError("range must lie within [26, 5000]")
-    params = {"n_lo": n_lo, "n_hi": n_hi}
     for n in range(n_lo, n_hi + 1):
         prev: Optional[int] = None
         for a in range(3, (n + 1) // 2 + 1):
             v = second_place_gap_numerator(n, a)
             if v <= 0:
-                return _report("GAP", params, VIOLATED,
-                               (canonical_form(vertex_glued_cycles(n, a)),),
-                               f"gap numerator {v} at (n={n}, a={a}) is not positive",
-                               t0)
+                return VIOLATED, (canonical_form(vertex_glued_cycles(n, a)),), (
+                    f"gap numerator {v} at (n={n}, a={a}) is not positive")
             if prev is not None and v < prev:
-                return _report("GAP", params, VIOLATED,
-                               (canonical_form(vertex_glued_cycles(n, a)),),
-                               f"gap numerator decreases at (n={n}, a={a}): "
-                               f"{prev} -> {v}", t0)
+                return VIOLATED, (canonical_form(vertex_glued_cycles(n, a)),), (
+                    f"gap numerator decreases at (n={n}, a={a}): {prev} -> {v}")
             prev = v
     for i in range(100):
         n = n_lo + i
         want = 2 * n * n - 37 * n + 99
         got = second_place_gap_numerator(n, 3)
         if got != want:
-            return _report("GAP", params, VIOLATED,
-                           (canonical_form(vertex_glued_cycles(n, 3)),),
-                           f"triangle-split numerator {got} != {want} at n={n}", t0)
-    return _report(
-        "GAP", params, VERIFIED, (),
+            return VIOLATED, (canonical_form(vertex_glued_cycles(n, 3)),), (
+                f"triangle-split numerator {got} != {want} at n={n}")
+    return VERIFIED, (), (
         f"positive and nondecreasing on n in [{n_lo}, {n_hi}]; quadratic "
-        "identity confirmed at 100 points",
-        t0,
-    )
+        "identity confirmed at 100 points")
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
-
-
-_NEEDS_RANGE = {"L3", "GAP"}
-
-CLAIM_VERIFIERS: dict[str, Callable[..., ClaimReport]] = {
-    "T1": verify_T1,
-    "T2": verify_T2,
-    "L2": verify_L2,
-    "L3": verify_L3,
-    "C1": verify_C1,
-    "C2": verify_C2,
-    "T3a": verify_T3a,
-    "T3b": verify_T3b,
-    "T3c": verify_T3c,
-    "P1": verify_P1,
-    "P2": verify_P2,
-    "P3": verify_P3,
-    "Q1": verify_Q1,
-    "FIG1": verify_FIG1,
-    "GAP": verify_GAP,
-}
 
 
 def verify_claim(
@@ -875,18 +723,16 @@ def verify_claim(
     n_range: Optional[tuple[int, int]] = None,
     jobs: Optional[int] = None,
 ) -> ClaimReport:
-    """Run one claim check by protocol id with uniform parameter handling."""
+    """Run one claim check by protocol id: a range claim gets n_range (or its
+    default range), every other claim gets n and jobs."""
     if claim_id not in CLAIM_VERIFIERS:
         raise ValueError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
     fn = CLAIM_VERIFIERS[claim_id]
-    if claim_id in _NEEDS_RANGE:
-        if claim_id == "GAP" and n_range is None:
-            return fn()
+    if claim_id in _RANGE_DEFAULTS:
+        n_range = n_range or _RANGE_DEFAULTS[claim_id]
         if n_range is None:
             raise ValueError(f"claim {claim_id} requires a range of orders")
-        return fn(n_range[0], n_range[1])
+        return fn(*n_range)
     if n is None:
         raise ValueError(f"claim {claim_id} requires an order")
-    if claim_id in ("T1", "T2", "P1", "P3", "Q1", "FIG1"):
-        return fn(n, jobs=jobs)
-    return fn(n)
+    return fn(n, jobs=jobs)

@@ -214,6 +214,20 @@ def test_rank_parallel_agrees_with_serial(runner):
     assert parallel.stdout == serial.stdout
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_rank_top_below_one_is_a_usage_error_for_any_jobs(runner, monkeypatch, jobs):
+    """--top is checked before the fan-out: no worker starts, and both
+    paths exit 2 with the same single line."""
+    def no_pool(*args):
+        raise AssertionError("a shard pool was started")
+
+    monkeypatch.setattr(cli, "map_shards", no_pool)
+    result = runner.invoke(main, ["rank", "--n", "7", "--top", "0", "--jobs", jobs])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: k must be positive\n"
+
+
 def fail_in_shard_three(args):
     """Shard worker that raises in shard 3; module level, since the pool
     pickles it."""

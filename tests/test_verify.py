@@ -479,9 +479,21 @@ def test_gap_polynomial():
             verify_GAP(*bad)
 
 
-def test_dispatch_matches_direct_calls():
-    direct = verify_T1(6)
-    routed = verify_claim("T1", n=6)
+# In-envelope arguments of every claim, as verify_claim takes them.
+DISPATCH_ARGS = {claim: dict(n=6) for claim in CLAIM_IDS}
+DISPATCH_ARGS.update(L2=dict(n=9), C2=dict(n=9), Q1=dict(n=9), FIG1=dict(n=8),
+                     L3=dict(n_range=(26, 30)), GAP=dict(n_range=(26, 30)))
+
+
+@pytest.mark.parametrize("claim", CLAIM_IDS)
+def test_dispatch_matches_direct_calls(claim, census9):
+    """verify_claim reaches verify_<claim> with the same arguments: the
+    order for an order claim, the range for L3 and GAP."""
+    kwargs = DISPATCH_ARGS[claim]
+    args = kwargs.get("n_range") or (kwargs["n"],)
+    direct = getattr(verify, f"verify_{claim}")(*args)
+    routed = verify_claim(claim, **kwargs)
+    assert direct.status == VERIFIED
     assert (routed.claim_id, routed.params, routed.status,
             routed.witnesses, routed.notes) == (
         direct.claim_id, direct.params, direct.status,
