@@ -232,6 +232,26 @@ def test_triangle_placements_report_at_the_envelope():
         "below W = 31838")
 
 
+@pytest.mark.parametrize("n, offset, expected", [
+    (8, 10, (VIOLATED, ("G?LTMK",),
+             "triangle at positions (0,2,4) gives W = 50, not below 48")),
+    (13, 40, (VIOLATED, ("L???GSSIA_S@oB",),
+              "triangle at positions (0,2,4) gives W = 229, not below 208")),
+    (20, 53, (VIOLATED, ("S????????@_I?g@O@O?g?I?@O?D??M??K",),
+              "triangle at positions (0,2,4) gives W = 875, not below 875")),
+    (20, 40, (VERIFIED, (),
+              "all 120 triangle placements (up to rotation) stay below W = 888")),
+])
+def test_triangle_placements_violation_path(monkeypatch, n, offset, expected):
+    """A cap lowered by offset: the first placement at or above it is
+    reported with its canonical witness; equality is a violation."""
+    cap = verify.wiener_vertex_glued_triangle
+    monkeypatch.setattr(verify, "wiener_vertex_glued_triangle",
+                        lambda m: cap(m) - offset)
+    report = verify_C2(n)
+    assert (report.status, report.witnesses, report.notes) == expected
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_two_edge_connected_maximum(n):
     report = verify_T3a(n)
