@@ -3,13 +3,21 @@
 Each family has a fixed vertex labeling so that constructions are
 reproducible byte-for-byte; tests pin several of the resulting edge lists.
 All constructors validate their parameter domain and raise ValueError
-outside it.
+outside it, including any order above G6_MAX_ORDER: graph6 cannot encode
+such a graph, so it is rejected before anything is built.
 """
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .graphs import Graph, build_graph
+from .graphs import G6_MAX_ORDER, Graph, build_graph
+
+
+def _check_order(n: int) -> None:
+    if n > G6_MAX_ORDER:
+        raise ValueError(
+            f"order {n} exceeds {G6_MAX_ORDER}, the largest graph6 encodes")
+
 
 # ---------------------------------------------------------------------------
 # elementary families
@@ -19,6 +27,7 @@ def cycle(n: int) -> Graph:
     """The cycle C_n (n >= 3)."""
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
+    _check_order(n)
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -26,6 +35,7 @@ def path(n: int) -> Graph:
     """The path on n vertices (n >= 1)."""
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
+    _check_order(n)
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -33,6 +43,7 @@ def complete(n: int) -> Graph:
     """The complete graph K_n (n >= 1)."""
     if n < 1:
         raise ValueError("complete graph needs at least 1 vertex")
+    _check_order(n)
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -40,6 +51,7 @@ def cocktail_party(n: int) -> Graph:
     """K_n minus a perfect matching (even n >= 4); matching edges (2i, 2i+1)."""
     if n < 4 or n % 2:
         raise ValueError("cocktail-party graph needs even n >= 4")
+    _check_order(n)
     edges = [
         (i, j)
         for i in range(n)
@@ -62,6 +74,7 @@ def vertex_glued_cycles(n: int, a: int) -> Graph:
     """
     if not 3 <= a <= n - 2:
         raise ValueError(f"need 3 <= a <= n-2, got a={a}, n={n}")
+    _check_order(n)
     ring_a = [(i, i + 1) for i in range(a - 1)] + [(a - 1, 0)]
     other = [0] + list(range(a, n))
     ring_b = [(other[i], other[i + 1]) for i in range(len(other) - 1)]
@@ -78,6 +91,7 @@ def edge_glued_cycles(n: int, a: int) -> Graph:
     """
     if not 4 <= a <= n - 2:
         raise ValueError(f"need 4 <= a <= n-2, got a={a}, n={n}")
+    _check_order(n)
     ring_a = [(i, i + 1) for i in range(a - 1)] + [(a - 1, 0)]
     other = [0, 1] + list(range(a, n))
     ring_b = [(other[i], other[i + 1]) for i in range(len(other) - 1)]
@@ -131,6 +145,7 @@ def friendship(k: int) -> Graph:
     """k triangles sharing one hub vertex (n = 2k+1, m = 3k), k >= 1."""
     if k < 1:
         raise ValueError("friendship graph needs k >= 1")
+    _check_order(2 * k + 1)
     edges = []
     for i in range(k):
         a, b = 2 * i + 1, 2 * i + 2
@@ -147,6 +162,7 @@ def sparse_diameter_two(n: int) -> Graph:
     to 0, two to 1, the rest to 2), with 2n-5 edges.  Other n are outside
     the proved range and rejected.
     """
+    _check_order(n)
     if n >= 3 and n % 2 == 1:
         return friendship((n - 1) // 2)
     if n >= 10 and n % 2 == 0:

@@ -103,6 +103,9 @@ class EnumPartition:
     shard_index: int = 0
 
     def validate(self) -> None:
+        if self.total_shards < 1:
+            raise ValueError(
+                f"shard count must be positive, got {self.total_shards}")
         if not 0 <= self.shard_index < self.total_shards:
             raise ValueError(
                 f"shard {self.shard_index} outside 0..{self.total_shards - 1}"

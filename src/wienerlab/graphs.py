@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 Edge = tuple[int, int]
 
 G6_HEADER = ">>graph6<<"
+G6_MAX_ORDER = 258047  # the largest order a graph6 size prefix encodes
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -334,7 +335,7 @@ def _g6_size_bytes(n: int) -> bytes:
         raise ValueError("negative vertex count")
     if n <= 62:
         return bytes([n + 63])
-    if n <= 258047:
+    if n <= G6_MAX_ORDER:
         return bytes(
             [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
         )

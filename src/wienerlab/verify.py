@@ -143,7 +143,9 @@ def _range_claim(claim_id: str, default: Optional[tuple[int, int]] = None):
     def register(body: Callable[[int, int], Outcome]) -> Callable[..., ClaimReport]:
         @functools.wraps(body)
         def verifier(n_lo: int, n_hi: int) -> ClaimReport:
-            if not 26 <= n_lo <= n_hi <= 5000:
+            if n_lo > n_hi:
+                raise ValueError(f"empty range {n_lo}:{n_hi}, need A <= B")
+            if n_lo < 26 or n_hi > 5000:
                 raise ValueError("range must lie within [26, 5000]")
             return _timed(claim_id, {"n_lo": n_lo, "n_hi": n_hi},
                           lambda: body(n_lo, n_hi))
@@ -466,15 +468,29 @@ def verify_C1(n: int, jobs: Optional[int]) -> Outcome:
         skip_note="placement sweep supported for n <= {}")
 def verify_C2(n: int, jobs: Optional[int]) -> Outcome:
     """Adding any off-cycle triangle of chords to C_n lands strictly below
-    the triangle-glued cycle's Wiener value."""
+    the triangle-glued cycle's Wiener value.
+
+    W is computed once per rotation/reflection class of the arc triple
+    (j, k - j, n - k) of a placement (0, j, k).  Rotating or reflecting the
+    ring permutes the three arcs, every permutation of three arcs is one of
+    these, and each is an isomorphism: placements with the same sorted arcs
+    have the same W.  A later placement of a class therefore stays below
+    the cap exactly when the first one did, and the loop, its first
+    violation and that violation's witness are those of a BFS per placement.
+    """
     if n < 6:
         return VERIFIED, (), "no off-cycle triangle placement exists; vacuously true"
     ring = [(i, (i + 1) % n) for i in range(n)]
     cap = wiener_vertex_glued_triangle(n)
     placements = 0
+    checked: set[tuple[int, ...]] = set()  # sorted arc triples already run
     for j in range(2, n - 3):
         for k in range(j + 2, n - 1):
             placements += 1
+            arcs = tuple(sorted((j, k - j, n - k)))
+            if arcs in checked:
+                continue
+            checked.add(arcs)
             g = build_graph(n, ring + [(0, j), (j, k), (0, k)])
             w = wiener(g)
             if not w < cap:

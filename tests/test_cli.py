@@ -83,6 +83,21 @@ def test_construct_usage_errors(runner):
     assert domain.exit_code == 2
     unknown = runner.invoke(main, ["construct", "moebius", "--n", "8"])
     assert unknown.exit_code == 2
+    # every family refuses an order graph6 cannot encode before building it
+    for args in (["cycle", "--n", "100000000000"],
+                 ["path", "--n", "258048"],
+                 ["complete", "--n", "300000"],
+                 ["cocktail-party", "--n", "300000"],
+                 ["vertex-glued-cycles", "--n", "300000", "--a", "3"],
+                 ["edge-glued-cycles", "--n", "300000", "--a", "4"],
+                 ["friendship", "--n", "129024"],
+                 ["sparse-diameter-two", "--n", "300000"],
+                 ["runner-up", "--n", "300000"]):
+        huge = runner.invoke(main, ["construct", *args])
+        assert huge.exit_code == 2, args
+        assert huge.stdout == ""
+        assert huge.stderr.startswith("error:")
+        assert len(huge.stderr.splitlines()) == 1
 
 
 def test_formula_values(runner):
@@ -173,6 +188,16 @@ def test_enumerate_usage_errors(runner):
     too_big = runner.invoke(main, ["enumerate", "--n", "13"])
     assert too_big.exit_code == 2
     assert too_big.stderr.startswith("error:")
+    for total in ("0", "-2"):
+        no_shards = runner.invoke(main, ["enumerate", "--n", "7",
+                                         "--shards", total, "--shard", "0"])
+        assert no_shards.exit_code == 2
+        assert no_shards.stderr == (
+            f"error: shard count must be positive, got {total}\n")
+    outside = runner.invoke(main, ["enumerate", "--n", "7",
+                                   "--shards", "3", "--shard", "3"])
+    assert outside.exit_code == 2
+    assert outside.stderr == "error: shard 3 outside 0..2\n"
 
 
 def test_rank_text_and_csv(runner):
@@ -323,6 +348,14 @@ def test_verify_usage_errors(runner):
                                      "--n-range", "26-30"])
     assert bad_range.exit_code == 2
     assert "bad range" in bad_range.stderr
+    reversed_range = runner.invoke(main, ["verify", "--claim", "L3",
+                                          "--n-range", "40:30"])
+    assert reversed_range.exit_code == 2
+    assert reversed_range.stderr == "error: empty range 40:30, need A <= B\n"
+    outside = runner.invoke(main, ["verify", "--claim", "L3",
+                                   "--n-range", "20:30"])
+    assert outside.exit_code == 2
+    assert outside.stderr == "error: range must lie within [26, 5000]\n"
     unknown = runner.invoke(main, ["verify", "--claim", "T9", "--n", "6"])
     assert unknown.exit_code == 2
 

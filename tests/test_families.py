@@ -4,6 +4,7 @@ import pytest
 
 from wienerlab.canon import canonical_form
 from wienerlab.families import (
+    FAMILIES,
     RUNNER_UP_ORDERS,
     cocktail_party,
     complete,
@@ -18,6 +19,7 @@ from wienerlab.families import (
 )
 from wienerlab.formulas import min_size_diameter_two
 from wienerlab.graphs import (
+    G6_MAX_ORDER,
     block_decomposition,
     cut_vertices,
     diameter,
@@ -66,6 +68,17 @@ def test_family_preconditions():
         sparse_diameter_two(8)  # even orders start at 10
     with pytest.raises(ValueError):
         runner_up_catalog(12)
+
+
+def test_families_reject_orders_graph6_cannot_encode():
+    """Each registered family raises at once for an order above
+    G6_MAX_ORDER; friendship(k) has order 2k + 1, and the runner-up catalog
+    has no entry that large."""
+    too_big = G6_MAX_ORDER + 1
+    values = {"n": too_big, "k": too_big // 2, "a": 4}
+    for name, (params, fn) in FAMILIES.items():
+        with pytest.raises(ValueError, match="graph6|no exceptional"):
+            fn(*(values[p] for p in params))
 
 
 def test_cocktail_party_small_cases():

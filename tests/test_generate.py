@@ -335,8 +335,11 @@ def test_filter_validation():
         EnumFilter(order=5, size_range=(4, 20)).validate()
     with pytest.raises(ValueError):
         EnumFilter(order=5, size_range=(6, 5)).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside 0..3"):
         EnumPartition(total_shards=4, shard_index=4).validate()
+    for total in (0, -2):
+        with pytest.raises(ValueError, match="shard count must be positive"):
+            EnumPartition(total_shards=total, shard_index=0).validate()
     with pytest.raises(ValueError):
         next(enumerate_graphs(EnumFilter(order=13)))
 

@@ -18,6 +18,7 @@ from wienerlab.families import (
 from wienerlab.formulas import min_wiener_eulerian, wiener_cycle
 from wienerlab.graphs import (
     bfs_distances,
+    build_graph,
     diameter,
     graph6_decode,
     is_eulerian,
@@ -250,6 +251,39 @@ def test_triangle_placements_violation_path(monkeypatch, n, offset, expected):
                         lambda m: cap(m) - offset)
     report = verify_C2(n)
     assert (report.status, report.witnesses, report.notes) == expected
+
+
+def _triangle_on_ring(n, corners):
+    a, b, c = corners
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    return build_graph(n, ring + [(a, b), (b, c), (a, c)])
+
+
+def test_triangle_placement_w_is_invariant_under_ring_symmetries():
+    """Every rotation and reflection of a placement (0, j, k) has its W, and
+    placements with the same sorted arcs (j, k - j, n - k), the key
+    verify_C2 runs one BFS for, share one W."""
+    for n in range(6, 21):
+        by_arcs = {}
+        for j in range(2, n - 3):
+            for k in range(j + 2, n - 1):
+                w = wiener(_triangle_on_ring(n, (0, j, k)))
+                for r in range(n):
+                    for sign in (1, -1):
+                        image = [(sign * v + r) % n for v in (0, j, k)]
+                        assert wiener(_triangle_on_ring(n, image)) == w
+                by_arcs.setdefault(tuple(sorted((j, k - j, n - k))), set()).add(w)
+        assert all(len(ws) == 1 for ws in by_arcs.values()), n
+
+
+def test_triangle_placements_run_one_bfs_per_arc_class(monkeypatch):
+    """C2(64) visits 1,770 placements but computes W for only their 310
+    classes of sorted arc triples."""
+    calls = []
+    monkeypatch.setattr(verify, "wiener", lambda g: calls.append(g) or wiener(g))
+    report = verify_C2(64)
+    assert report.notes.startswith("all 1770 triangle placements")
+    assert len(calls) == 310
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -494,9 +528,10 @@ def test_gap_polynomial():
     assert report.status == VERIFIED
     assert report.param_dict() == {"n_lo": 26, "n_hi": 500}
     assert verify_GAP(26, 26).status == VERIFIED
-    for bad in [(25, 30), (30, 29)]:
-        with pytest.raises(ValueError):
-            verify_GAP(*bad)
+    with pytest.raises(ValueError, match="within"):
+        verify_GAP(25, 30)
+    with pytest.raises(ValueError, match="empty range 30:29"):
+        verify_GAP(30, 29)
 
 
 # In-envelope arguments of every claim, as verify_claim takes them.
