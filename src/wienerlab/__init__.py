@@ -6,13 +6,7 @@ sparse diameter-2 graphs), exact closed forms, an isomorph-free enumerator,
 and a claim-verification harness with a command-line front end.
 """
 
-from .canon import (
-    automorphism_generators,
-    automorphism_group_order,
-    canonical_form,
-    canonical_graph,
-    canonical_permutation,
-)
+from .canon import canonical_form
 from .families import (
     FAMILIES,
     RUNNER_UP_ORDERS,

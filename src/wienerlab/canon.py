@@ -1,4 +1,4 @@
-"""Canonical forms, canonical labelings, and automorphism generators.
+"""Canonical forms and canonical labelings.
 
 Equitable-partition refinement with individualization and backtracking.
 Refinement splits cells only against the cells that just split (the fresh
@@ -13,8 +13,9 @@ one orbit of the stabilizer of the individualized prefix head isomorphic
 subtrees, so only the first is explored.
 
 The low-level entry point :func:`canon_rows` works on bitmask adjacency rows
-and is what the isomorph-free generator calls in its hot loop; the wrappers
-below operate on :class:`~wienerlab.graphs.Graph` values.
+and is what the isomorph-free generator calls in its hot loop;
+:func:`canonical_form` names a :class:`~wienerlab.graphs.Graph` by the
+graph6 string of its canonical relabeling.
 """
 from __future__ import annotations
 
@@ -198,52 +199,15 @@ def canon_rows(n: int, rows: Sequence[int]) -> tuple[Perm, list[Perm]]:
     return tuple(pos), gens
 
 
-def canonical_permutation(g: Graph) -> Perm:
-    """Relabeling ``v -> perm[v]`` sending ``g`` to its canonical form."""
-    pos, _ = canon_rows(g.n, g.rows)
+def _placed(g: Graph, pos: Sequence[int]) -> Graph:
+    """``g`` relabeled so that vertex ``pos[i]`` moves to position ``i``."""
     perm = [0] * g.n
     for i, v in enumerate(pos):
         perm[v] = i
-    return tuple(perm)
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return relabel(g, canonical_permutation(g))
+    return relabel(g, perm)
 
 
 def canonical_form(g: Graph) -> str:
     """graph6 string of the canonical relabeling; equal exactly for
     isomorphic graphs."""
-    return graph6_encode(canonical_graph(g))
-
-
-def automorphism_generators(g: Graph) -> list[Perm]:
-    """Generators of the automorphism group (possibly empty, never identity)."""
-    return canon_rows(g.n, g.rows)[1]
-
-
-def automorphism_group_order(g: Graph, limit: int = 10**6) -> int:
-    """Order of the automorphism group by explicit closure of the generators.
-
-    Intended for small graphs; raises ValueError if the group exceeds
-    ``limit`` elements.
-    """
-    gens = automorphism_generators(g)
-    if not gens:
-        return 1
-    n = g.n
-    ident = tuple(range(n))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for s in gens:
-                c = tuple(e[s[v]] for v in range(n))
-                if c not in elems:
-                    if len(elems) >= limit:
-                        raise ValueError("automorphism group larger than limit")
-                    elems.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return len(elems)
+    return graph6_encode(_placed(g, canon_rows(g.n, g.rows)[0]))

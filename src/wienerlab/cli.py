@@ -207,11 +207,8 @@ def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
         filt.validate()
         kw = {"order": filt.order, "require_even_degrees": True,
               "size_range": filt.size_range}
-        if jobs > 1 and shards is None:
-            lines = map_shards(_shard_g6, kw, jobs)
-        else:
-            part = (1, 0) if shards is None else (shards, shard)
-            lines = _shard_g6((kw, *part))
+        lines = (map_shards(_shard_g6, kw, jobs) if shards is None
+                 else _shard_g6((kw, shards, shard)))
     lines.sort()
     if count:
         click.echo(str(len(lines)))
@@ -241,8 +238,7 @@ def cmd_rank(n: int, top: int, objective: str, jobs: int, fmt: str) -> None:
             raise ValueError("k must be positive")
         args = ({"order": filt.order, "require_even_degrees": True}, obj, top)
         found: dict[int, set[str]] = {}
-        for w, g6 in (map_shards(_shard_rank, args, jobs) if jobs > 1
-                      else _shard_rank((args, 1, 0))):
+        for w, g6 in map_shards(_shard_rank, args, jobs):
             found.setdefault(w, set()).add(g6)
         sign = -1 if obj == "max_wiener" else 1
         keep = sorted(found, key=lambda w: sign * w)[:top]

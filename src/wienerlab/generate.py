@@ -68,8 +68,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .canon import Perm, _orbit_roots, canon_rows
-from .graphs import Graph, _bits, _cut_mask, _is_cut, from_adjacency_masks, relabel
+from .canon import Perm, _orbit_roots, _placed, canon_rows
+from .graphs import Graph, _bits, _cut_mask, _is_cut, from_adjacency_masks
 
 MAX_ORDER = 12
 SHARDS = 8   # the split of every --jobs run, whatever the worker count
@@ -208,10 +208,7 @@ def _emit(n: int, rows: list[int], pos: Perm, filt: EnumFilter) -> Optional[Grap
         m = sum(r.bit_count() for r in rows) // 2
         if not filt.size_range[0] <= m <= filt.size_range[1]:
             return None
-    cperm = [0] * n
-    for i, v in enumerate(pos):
-        cperm[v] = i
-    return relabel(from_adjacency_masks(n, rows), cperm)
+    return _placed(from_adjacency_masks(n, rows), pos)
 
 
 def _accept(rows: list[int], rivals: int) -> Optional[tuple[Perm, list[Perm]]]:
@@ -330,13 +327,18 @@ class WorkerError(RuntimeError):
     """A shard worker of :func:`map_shards` raised or died."""
 
 
-def map_shards(worker: Callable[[tuple], list], args: object, jobs: int) -> list:
+def map_shards(worker: Callable[[tuple], list], args: object,
+               jobs: Optional[int]) -> list:
     """Run ``worker((args, SHARDS, i))`` for every shard i on min(jobs, SHARDS)
     processes and concatenate the results in shard order.  ``worker`` must be
     a module-level function so that the pool can pickle it.  An exception in
     any worker, or a worker process that dies (BrokenProcessPool), is raised
     here as a :class:`WorkerError` with a one-line message, and no partial
-    result is returned."""
+    result is returned.  With jobs None or below 2 no pool starts: the
+    result is ``worker((args, 1, 0))``, run here, unsharded, and its
+    exceptions pass through unwrapped."""
+    if not jobs or jobs < 2:
+        return worker((args, 1, 0))
     # imported here, not at the top: commands that never fan out stay smaller
     from concurrent.futures import ProcessPoolExecutor
 

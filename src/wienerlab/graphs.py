@@ -46,15 +46,9 @@ class Graph:
         """Number of edges."""
         return sum(map(int.bit_count, self.rows)) // 2
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def edges(self) -> list[Edge]:
         """Sorted list of edges as (u, v) pairs with u < v."""
         return [(u, v) for u in range(self.n) for v in _bits(self.rows[u]) if u < v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v >= 0 and (self.rows[u] >> v) & 1 == 1
 
 
 def build_graph(n: int, edges: Iterable[Edge]) -> Graph:

@@ -188,17 +188,14 @@ def eulerian_census(n: int, jobs: Optional[int] = None) -> tuple[tuple[int, int,
     """All connected even-degree graphs of order n as (W, m, graph6) rows.
 
     Rows are canonically encoded and sorted by descending W, then size, then
-    encoding.  Results are cached per order; jobs > 1 splits the generation
-    tree across worker processes.
+    encoding.  Results are cached per order; from order 9 on, jobs > 1
+    splits the generation tree across worker processes.
     """
     if n in _eulerian_cache:
         return _eulerian_cache[n]
     if not 3 <= n <= EULERIAN_ENVELOPE:
         raise ValueError(f"census supported for 3 <= n <= {EULERIAN_ENVELOPE}")
-    if jobs and jobs > 1 and n >= 9:
-        rows = map_shards(_eulerian_shard, n, jobs)
-    else:
-        rows = _eulerian_shard((n, 1, 0))
+    rows = map_shards(_eulerian_shard, n, jobs if n >= 9 else None)
     _check_count("A003049", A003049, n, len(rows))
     rows.sort(key=lambda r: (-r[0], r[1], r[2]))
     frozen = tuple(rows)
@@ -637,15 +634,16 @@ def min_wiener_table(
     """Minimum W over connected even-degree graphs of order n, per size.
 
     Sizes run from n-1 up to m_max, default one below the diameter-2 size
-    threshold (the regime the open question asks about).  Sizes with no
-    graph get an empty row.
+    threshold (the regime the open question asks about); at n = 4 that
+    leaves no size, and the table is empty.  Sizes with no graph get an
+    empty row.
     """
     if not 3 <= n <= EULERIAN_ENVELOPE:
         raise ValueError(f"table supported for 3 <= n <= {EULERIAN_ENVELOPE}")
     threshold = 3 * (n - 1) // 2 if n % 2 else 2 * n - 5
     if m_max is None:
         m_max = threshold - 1
-    if not n - 1 <= m_max < threshold:
+    elif not n - 1 <= m_max < threshold:
         raise ValueError(
             f"m_max must lie in [{n - 1}, {threshold - 1}] "
             "(strictly below the diameter-2 size threshold)"
@@ -740,7 +738,8 @@ def verify_claim(
     jobs: Optional[int] = None,
 ) -> ClaimReport:
     """Run one claim check by protocol id: a range claim gets n_range (or its
-    default range), every other claim gets n and jobs."""
+    default range) and no n, every other claim gets n and jobs and no
+    n_range."""
     if claim_id not in CLAIM_VERIFIERS:
         raise ValueError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
     fn = CLAIM_VERIFIERS[claim_id]
@@ -748,7 +747,11 @@ def verify_claim(
         n_range = n_range or _RANGE_DEFAULTS[claim_id]
         if n_range is None:
             raise ValueError(f"claim {claim_id} requires a range of orders")
+        if n is not None:
+            raise ValueError(f"claim {claim_id} takes a range of orders, not an order")
         return fn(*n_range)
     if n is None:
         raise ValueError(f"claim {claim_id} requires an order")
+    if n_range is not None:
+        raise ValueError(f"claim {claim_id} takes an order, not a range")
     return fn(n, jobs=jobs)

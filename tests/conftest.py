@@ -1,10 +1,11 @@
-"""Shared fixtures: warmed graph censuses and their build timings, and a
-timeout for tests that could hang."""
+"""Shared fixtures: warmed graph censuses and their build timings, a
+timeout for tests that could hang, and the automorphism group order oracle."""
 import signal
 import time
 
 import pytest
 
+from wienerlab.canon import canon_rows
 from wienerlab.verify import eulerian_census
 
 # wall-clock seconds for the first (cold) build of each census, keyed by name
@@ -30,6 +31,20 @@ def census10():
 @pytest.fixture(scope="session")
 def census_timings():
     return CENSUS_TIMINGS
+
+
+@pytest.fixture(scope="session")
+def group_order():
+    """Order of a graph's automorphism group, by closing the generators that
+    canon_rows returns under composition; for small graphs."""
+    def order(g):
+        gens = canon_rows(g.n, g.rows)[1]
+        elems = frontier = {tuple(range(g.n))}
+        while frontier:
+            frontier = {tuple(e[x] for x in s) for e in frontier for s in gens} - elems
+            elems = elems | frontier
+        return len(elems)
+    return order
 
 
 @pytest.fixture

@@ -360,6 +360,27 @@ def test_verify_usage_errors(runner):
     assert unknown.exit_code == 2
 
 
+@pytest.mark.parametrize("command,error", [
+    (["--claim", "GAP", "--n", "30"],
+     "claim GAP takes a range of orders, not an order"),
+    (["--claim", "GAP", "--n", "30", "--n-range", "26:30"],
+     "claim GAP takes a range of orders, not an order"),
+    (["--claim", "L3", "--n", "30", "--n-range", "26:30"],
+     "claim L3 takes a range of orders, not an order"),
+    (["--claim", "T1", "--n", "5", "--n-range", "26:30"],
+     "claim T1 takes an order, not a range"),
+    (["--claim", "Q1", "--n", "9", "--n-range", "26:30", "--jobs", "2"],
+     "claim Q1 takes an order, not a range"),
+])
+def test_verify_rejects_the_wrong_kind_of_order(runner, command, error):
+    """A range claim given --n, or an order claim given --n-range, exits 2
+    before any work, instead of running without the argument."""
+    result = runner.invoke(main, ["verify", *command])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {error}\n"
+
+
 def test_verify_text_format(runner):
     result = runner.invoke(main, ["verify", "--claim", "T1", "--n", "6",
                                   "--format", "text"])
@@ -404,6 +425,29 @@ def test_min_table_json(runner):
 def test_min_table_usage_errors(runner):
     assert runner.invoke(main, ["min-table", "--n", "11"]).exit_code == 2
     assert runner.invoke(main, ["min-table", "--n", "9", "--m", "12"]).exit_code == 2
+
+
+@pytest.mark.parametrize("fmt,stdout", [
+    ("csv", "n,m,min_wiener,witness_count,witnesses\n"),
+    ("json", "[]\n"),
+    ("text", ""),
+])
+def test_min_table_order_four_is_empty(runner, fmt, stdout):
+    """At order 4 no size lies below the diameter-2 threshold (3 edges):
+    the default range is empty and the table has no rows."""
+    result = runner.invoke(main, ["min-table", "--n", "4", "--format", fmt])
+    assert result.exit_code == 0
+    assert result.stdout == stdout
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize("m", ["2", "3"])
+def test_min_table_order_four_rejects_an_explicit_size(runner, m):
+    result = runner.invoke(main, ["min-table", "--n", "4", "--m", m])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: m_max must lie in [3, 2] "
+                             "(strictly below the diameter-2 size threshold)\n")
 
 
 def test_help_lists_subcommands(runner):

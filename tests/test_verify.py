@@ -514,6 +514,31 @@ def test_min_wiener_table_domain_errors():
         min_wiener_table(9, m_max=7)
 
 
+def test_min_wiener_table_default_range_may_be_empty():
+    """Order 4's diameter-2 threshold is 3 = n - 1 edges, so the default
+    range holds no size; an explicit m_max there is still an error.  Every
+    other order in the envelope starts at the tree size n - 1."""
+    assert min_wiener_table(4) == ()
+    for m_max in (2, 3):
+        with pytest.raises(ValueError, match=r"m_max must lie in \[3, 2\]"):
+            min_wiener_table(4, m_max=m_max)
+    for n in (3, 5, 6, 7, 8):
+        assert min_wiener_table(n)[0].m == n - 1
+
+
+def test_verify_claim_takes_one_kind_of_order():
+    with pytest.raises(ValueError, match="^claim GAP takes a range of orders, not an order$"):
+        verify_claim("GAP", n=30)
+    with pytest.raises(ValueError, match="^claim L3 takes a range of orders, not an order$"):
+        verify_claim("L3", n=30, n_range=(26, 30))
+    with pytest.raises(ValueError, match="^claim L3 requires a range of orders$"):
+        verify_claim("L3", n=26)
+    with pytest.raises(ValueError, match="^claim T1 takes an order, not a range$"):
+        verify_claim("T1", n=5, n_range=(26, 30))
+    with pytest.raises(ValueError, match="^claim T1 requires an order$"):
+        verify_claim("T1", n_range=(26, 30))
+
+
 def test_open_question_data_consistency(census9):
     report = verify_Q1(9)
     assert report.status == VERIFIED
