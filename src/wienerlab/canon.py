@@ -1,16 +1,20 @@
 """Canonical forms and canonical labelings.
 
 Equitable-partition refinement with individualization and backtracking.
-Refinement splits cells only against the cells that just split (the fresh
-fragments of McKay & Piperno, "Practical Graph Isomorphism II", 2014); it
-yields the same ordered partitions as splitting against every cell, see
-:func:`_refine`.  A leaf of the search tree is a discrete ordered partition,
-read off as a relabeling; the leaf whose relabeled upper-triangle adjacency
-bitstring is lexicographically smallest defines the canonical form.  A leaf
-reproducing the bitstring of an earlier leaf certifies an automorphism, and
-discovered automorphisms prune sibling branches: two target-cell vertices in
-one orbit of the stabilizer of the individualized prefix head isomorphic
-subtrees, so only the first is explored.
+Cells are bitmasks of vertices.  Refinement splits cells only against the
+cells that just split (the fresh fragments of McKay & Piperno, "Practical
+Graph Isomorphism II", 2014), counting neighbors bit-sliced, a whole cell at
+a time; it yields the same ordered partitions as splitting against every
+cell, see :func:`_refine`.  A leaf of the search tree is a discrete ordered
+partition, read off as a relabeling; the leaf whose relabeled upper-triangle
+adjacency bitstring is lexicographically smallest defines the canonical
+form.  A leaf reproducing the bitstring of the first or the best leaf
+certifies an automorphism.  Discovered automorphisms prune twice: the search
+jumps back to the deepest common ancestor of the two leaves, and two
+target-cell vertices in one orbit of the stabilizer of the individualized
+prefix head isomorphic subtrees, so only the first is explored.  A node
+whose cells each hold twins is not searched at all: its first leaf stands
+for every leaf below it.
 
 The low-level entry point :func:`canon_rows` works on bitmask adjacency rows
 and is what the isomorph-free generator calls in its hot loop;
@@ -21,22 +25,21 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .graphs import Graph, graph6_encode, relabel
+from .graphs import Graph, _bits, graph6_encode, relabel
 
 Perm = tuple[int, ...]
 
 
 def _refine(
-    rows: Sequence[int],
-    cells: list[list[int]],
-    fresh: Optional[list[list[int]]] = None,
-) -> list[list[int]]:
+    rows: Sequence[int], cells: list[int], fresh: Optional[list[int]] = None
+) -> list[int]:
     """Coarsest equitable ordered partition refining ``cells``.
 
-    Splits every cell by the vector of neighbor counts into the current
-    cells, orders fragments by that vector, and repeats until stable.  The
-    fragment ordering depends only on isomorphism-invariant data, so two
-    isomorphic graphs refine along corresponding partitions.
+    A cell is the bitmask of its vertices.  Splits every cell by the vector
+    of neighbor counts into the current cells, orders fragments by that
+    vector, and repeats until stable.  The fragment ordering depends only on
+    isomorphism-invariant data, so two isomorphic graphs refine along
+    corresponding partitions.
 
     The vector is taken over the cells of ``fresh`` only (all cells when
     None), in partition order; after a pass the fresh cells are the
@@ -48,154 +51,274 @@ def _refine(
     its earlier siblings, which come before it in the vector; neither can
     split a cell or decide the order of two fragments.  A caller that
     splits one vertex v off a cell of an equitable partition passes
-    ``[[v]]`` for the same reason.
+    ``[1 << v]`` for the same reason.
 
-    Counts are packed into one int key, first fresh cell most significant,
-    ``n.bit_length()`` bits per count so that any count up to n fits (the
-    labeler also runs on graphs of hundreds of vertices); comparing keys
-    compares the count vectors lexicographically.
+    The counts into a fresh cell are held bit-sliced: mask ``layers[i]``
+    holds the vertices whose count has bit i set, so the counts of all
+    vertices are summed at once, one adjacency row at a time.  A cell is
+    then split by each layer, highest first, each part into the vertices
+    without and with that bit: its fragments come out in ascending count
+    order, with no per-vertex loop and no bound on the count.  Splitting by
+    the fresh cells one after another orders the fragments by the count
+    vector lexicographically.  A single-vertex fresh cell {w}, as in the
+    first pass after an individualization, is the one layer ``rows[w]``.
     """
-    width = len(rows).bit_length()
     if fresh is None:
         fresh = cells
     while fresh:
-        masks = []
-        for c in fresh:
-            m = 0
-            for v in c:
-                m |= 1 << v
-            masks.append(m)
-        out: list[list[int]] = []
-        fresh = []
+        split_by: list[int] = []
+        for f in fresh:
+            if not f & (f - 1):
+                split_by.append(rows[f.bit_length() - 1])
+                continue
+            layers: list[int] = []
+            while f:
+                b = f & -f
+                f ^= b
+                carry = rows[b.bit_length() - 1]
+                for i, layer in enumerate(layers):
+                    layers[i] = layer ^ carry
+                    carry &= layer
+                    if not carry:
+                        break
+                else:
+                    if carry:
+                        layers.append(carry)
+            split_by += reversed(layers)
+        out: list[int] = []
+        split_off: list[int] = []
         for cell in cells:
-            if len(cell) == 1:
+            if not cell & (cell - 1):
                 out.append(cell)
                 continue
-            groups: dict[int, list[int]] = {}
-            for v in cell:
-                rv = rows[v]
-                key = 0
-                for m in masks:
-                    key = (key << width) | (rv & m).bit_count()
-                groups.setdefault(key, []).append(v)
-            if len(groups) == 1:
-                out.append(cell)
-            else:
-                parts = [groups[key] for key in sorted(groups)]
-                out += parts
-                fresh += parts[:-1]
+            parts = [cell]
+            for layer in split_by:
+                halves = []
+                for part in parts:
+                    hit = part & layer
+                    if hit != part:
+                        halves.append(part ^ hit)
+                    if hit:
+                        halves.append(hit)
+                parts = halves
+            out += parts
+            split_off += parts[:-1]
         cells = out
+        fresh = split_off
     return cells
 
 
 def _leaf_bits(n: int, rows: Sequence[int], pos: Sequence[int]) -> int:
     """Upper-triangle adjacency bitstring of the relabeled graph, packed into
-    an int with the (0,1) entry most significant."""
+    an int with the (0,1) entry most significant.
+
+    Row i of the relabeled graph is built with the vertex at position j on
+    bit n - 1 - j, so its entries right of the diagonal are its low
+    n - 1 - i bits, position i + 1 highest.
+    """
+    bit = [0] * n
+    high = 1 << n
+    for v in pos:
+        high >>= 1
+        bit[v] = high
     bits = 0
-    for i in range(n):
-        ri = rows[pos[i]]
-        for j in range(i + 1, n):
-            bits = (bits << 1) | ((ri >> pos[j]) & 1)
+    width = n
+    for v in pos:
+        width -= 1
+        row = 0
+        rest = rows[v]
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            row |= bit[b.bit_length() - 1]
+        bits = (bits << width) | (row & ((1 << width) - 1))
     return bits
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], perm: Perm) -> None:
+    """Merges the orbits that ``perm`` joins; each root stays the smallest
+    vertex of its orbit."""
+    for a, b in enumerate(perm):
+        if a == b:
+            continue
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra < rb:
+            parent[rb] = ra
+        elif rb < ra:
+            parent[ra] = rb
+
+
 def _orbit_roots(n: int, perms: Sequence[Perm]) -> list[int]:
-    """Union-find roots of the orbit partition generated by ``perms``."""
+    """Orbit partition generated by ``perms``: the smallest vertex of each
+    vertex's orbit."""
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for p in perms:
-        for a in range(n):
-            ra, rb = find(a), find(p[a])
-            if ra != rb:
-                parent[ra] = rb
-    return [find(x) for x in range(n)]
+        _union(parent, p)
+    return [_find(parent, x) for x in range(n)]
+
+
+def _common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
+    i = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        i += 1
+    return i
 
 
 def _search(
-    n: int, rows: Sequence[int], cells0: list[list[int]]
+    n: int, rows: Sequence[int], cells0: list[int]
 ) -> tuple[list[int], list[Perm]]:
     """Backtracking core.  Returns (canonical position list, generators).
 
-    The position list maps canonical position -> original vertex.
+    The position list maps canonical position -> original vertex.  A node
+    of the search tree is named by its individualized vertices, ``fixed``.
+
+    A leaf that reproduces the bitstring of the first leaf or of the best
+    leaf certifies an automorphism that fixes the common prefix of the two
+    paths and maps the other path's subtree below it onto the current one.
+    The rest of the current subtree below that common ancestor is then the
+    image of a subtree already searched, so the search returns there
+    (backjumping).  No smaller leaf is lost, and the leaf kept is the first
+    smallest one in the order of the full tree.
+
+    Each node skips a target-cell vertex that is not the smallest vertex of
+    its orbit under the generators found so far that fix ``fixed``; the
+    orbits of the cell lie in the cell.  The node builds that orbit
+    partition once, on first need, and folds in each generator found
+    afterwards.
+
+    A node whose every cell holds twins (vertices whose neighborhoods agree
+    outside the pair of them) is not searched: permuting a cell of twins
+    is an automorphism, so all leaves below it share one bitstring.  Its
+    first leaf, each cell in ascending order, is visited, and the adjacent
+    transpositions of each cell are added as generators.  In an equitable
+    partition a cell that is a pair and has only single-vertex cells beside
+    it always holds twins; a discrete partition, a leaf, is the case with no
+    pair at all.
     """
     best_bits: Optional[int] = None
-    best_pos: Optional[list[int]] = None
+    best_pos: list[int] = []
+    best_path: list[int] = []
     first_bits: Optional[int] = None
-    first_pos: Optional[list[int]] = None
+    first_pos: list[int] = []
+    first_path: list[int] = []
     gens: list[Perm] = []
     gen_seen: set[Perm] = set()
 
-    identity = tuple(range(n))
-
-    def note_automorphism(p: Sequence[int], q: Sequence[int]) -> None:
-        gamma = [0] * n
-        for i in range(n):
-            gamma[p[i]] = q[i]
+    def add_generator(gamma: list[int]) -> None:
         t = tuple(gamma)
-        if t != identity and t not in gen_seen:
+        if t not in gen_seen:
             gen_seen.add(t)
             gens.append(t)
 
-    def rec(cells: list[list[int]], fixed: list[int]) -> None:
-        nonlocal best_bits, best_pos, first_bits, first_pos
+    def leaf(pos: list[int], path: list[int]) -> int:
+        """Visits the leaf ``pos`` reached by ``path``; returns the depth at
+        which the search resumes."""
+        nonlocal best_bits, best_pos, best_path, first_bits, first_pos, first_path
+        bits = _leaf_bits(n, rows, pos)
+        resume = len(path)
+        for known, known_pos, known_path in ((first_bits, first_pos, first_path),
+                                             (best_bits, best_pos, best_path)):
+            if bits == known:
+                gamma = [0] * n
+                for p, q in zip(pos, known_pos):
+                    gamma[p] = q
+                add_generator(gamma)
+                resume = min(resume, _common_prefix(path, known_path))
+        if first_bits is None:
+            first_bits, first_pos, first_path = bits, pos, path[:]
+        if best_bits is None or bits < best_bits:
+            best_bits, best_pos, best_path = bits, pos, path[:]
+        return resume
+
+    def rec(cells: list[int], fixed: list[int]) -> int:
+        """Searches below node ``fixed``; returns the depth of the node at
+        which the search resumes."""
+        depth = len(fixed)
         target = -1
         tsize = n + 1
+        twins = True
         for idx, c in enumerate(cells):
-            lc = len(c)
-            if 1 < lc < tsize:
-                target = idx
-                tsize = lc
-        if target < 0:
-            pos = [c[0] for c in cells]
-            bits = _leaf_bits(n, rows, pos)
-            if first_bits is None:
-                first_bits, first_pos = bits, pos
-            elif bits == first_bits:
-                note_automorphism(pos, first_pos)
-            if best_bits is None or bits < best_bits:
-                best_bits, best_pos = bits, pos
-            elif bits == best_bits and pos != best_pos:
-                note_automorphism(pos, best_pos)
-            return
+            if c & (c - 1):
+                size = c.bit_count()
+                if size < tsize:
+                    target = idx
+                    tsize = size
+                if twins:
+                    low = c & -c
+                    r = rows[low.bit_length() - 1]
+                    rest = c ^ low
+                    while rest:
+                        b = rest & -rest
+                        rest ^= b
+                        if (rows[b.bit_length() - 1] ^ r) & ~(b | low):
+                            twins = False
+                            break
+        if twins:
+            pos = [v for c in cells for v in _bits(c)]
+            resume = leaf(pos, fixed)
+            if resume < depth or target < 0:
+                return resume
+            for c in cells:
+                members = list(_bits(c))
+                for a, b in zip(members, members[1:]):
+                    swap = list(range(n))
+                    swap[a], swap[b] = b, a
+                    add_generator(swap)
+            return depth
         tcell = cells[target]
         head = cells[:target]
         tail = cells[target + 1 :]
-        tried: list[int] = []
-        for v in tcell:
-            if tried:
-                stab = [g for g in gens if all(g[x] == x for x in fixed)]
-                if stab:
-                    roots = _orbit_roots(n, stab)
-                    rv = roots[v]
-                    if any(roots[w] == rv for w in tried):
-                        continue
-            tried.append(v)
-            rest = [w for w in tcell if w != v]
+        orbits: Optional[list[int]] = None
+        folded = 0
+        rest = tcell
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            v = b.bit_length() - 1
+            if folded < len(gens):
+                if orbits is None:
+                    orbits = list(range(n))
+                for g in gens[folded:]:
+                    if all(g[x] == x for x in fixed):
+                        _union(orbits, g)
+                folded = len(gens)
+            if orbits is not None and _find(orbits, v) != v:
+                continue
             fixed.append(v)
-            rec(_refine(rows, head + [[v], rest] + tail, [[v]]), fixed)
+            resume = rec(_refine(rows, head + [b, tcell ^ b] + tail, [b]), fixed)
             fixed.pop()
+            if resume < depth:
+                return resume
+        return depth
 
     rec(cells0, [])
-    assert best_pos is not None
     return best_pos, gens
 
 
-def canon_rows(n: int, rows: Sequence[int]) -> tuple[Perm, list[Perm]]:
+def canon_rows(
+    n: int, rows: Sequence[int], cells: Optional[list[int]] = None
+) -> tuple[Perm, list[Perm]]:
     """Canonicalize a bitmask-adjacency graph.
 
     Returns ``(order, generators)`` where ``order[i]`` is the original vertex
     placed at canonical position ``i``, and the generators generate the
-    automorphism group.
+    automorphism group.  ``cells`` is the refined unit partition,
+    ``_refine(rows, [(1 << n) - 1])``, when the caller already has it.
     """
     if n == 0:
         return (), []
-    pos, gens = _search(n, rows, _refine(rows, [list(range(n))]))
+    if cells is None:
+        cells = _refine(rows, [(1 << n) - 1])
+    pos, gens = _search(n, rows, cells)
     return tuple(pos), gens
 
 

@@ -20,7 +20,12 @@ first, neighbor degrees only on a degree tie, and cut vertices are tested
 least the new vertex's degree.  Surviving children are canonized, since
 emission needs their canonical order and the next level's orbit dedup their
 automorphisms; the orbit test itself runs only when another non-cut vertex
-ties the new vertex's key.
+(a rival) ties the new vertex's key.  It reads the refined unit partition
+first: canonical positions respect its cells and orbits lie inside them, so
+the deletion vertex lies in the last cell that holds a rival or the new
+vertex.  The child is rejected when the new vertex is not in that cell and
+accepted when it is the only one there; only a cell shared with a rival
+leaves the test to the labeling.
 
 Most children that fail the key test fail it for a reason their parent
 already decides, so they are skipped before their orbit test and before
@@ -52,9 +57,10 @@ then looked ahead: its forced child is built, and the node is dropped when
 no degree is odd, or the forced child exceeds the size ceiling or fails the key test.
 A node that is kept has no level of its own: its forced child, already built
 and key-tested, is canonized and emitted right there.  The node's own
-labeling then serves only its orbit test, so a node with no rival (no other
-non-cut vertex ties the key of u) is not canonized at all.  At order 9,
-4,870 of the 82,233 candidate children reach the labeler.
+labeling then serves only its orbit test, so a node is not canonized at
+all when u has no rival or when the root partition settles the test.  At
+order 9, 3,712 of the 82,233 candidate children reach the labeler (4,870
+when every node with a rival is labeled).
 
 Shards split the tree round-robin over the nodes of order max(2, n - 2)
 below n = 8 and min(n - 3, 6) from n = 8 on; every shard rebuilds the levels
@@ -68,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .canon import Perm, _orbit_roots, _placed, canon_rows
+from .canon import Perm, _orbit_roots, _placed, _refine, canon_rows
 from .graphs import Graph, _bits, _cut_mask, _is_cut, from_adjacency_masks
 
 MAX_ORDER = 12
@@ -211,20 +217,38 @@ def _emit(n: int, rows: list[int], pos: Perm, filt: EnumFilter) -> Optional[Grap
     return _placed(from_adjacency_masks(n, rows), pos)
 
 
-def _accept(rows: list[int], rivals: int) -> Optional[tuple[Perm, list[Perm]]]:
-    """Canonize a child that passed ``_key_rivals``: its canonical order and
-    automorphism generators, or None when its new (last) vertex is not in the
-    orbit of the deletion vertex."""
-    k = len(rows) - 1
-    pos, gens = canon_rows(k + 1, rows)
+def _accept(
+    rows: list[int], rivals: int, label: bool = True
+) -> Optional[tuple[Perm, list[Perm]] | tuple[()]]:
+    """Orbit test of a child that passed ``_key_rivals``: None when its new
+    (last) vertex is not in the orbit of the deletion vertex, else its
+    canonical order and automorphism generators, or ``()`` when ``label`` is
+    False.
+
+    Canonical positions respect the cells of the refined unit partition,
+    and orbits lie inside cells, so the deletion vertex lies in the last
+    cell that holds a rival or the new vertex.  The test is settled there
+    unless the new vertex shares that cell with a rival; only then does it
+    need the labeling.
+    """
+    n = len(rows)
+    k = n - 1
+    cells = None
     if rivals:
+        cells = _refine(rows, [(1 << n) - 1])
         rivals |= 1 << k
-        d_vertex = next(v for v in reversed(pos) if (rivals >> v) & 1)
-        if d_vertex != k:
-            roots = _orbit_roots(k + 1, gens)
-            if roots[k] != roots[d_vertex]:
-                return None
-    return pos, gens
+        last = next(c for c in reversed(cells) if c & rivals)
+        if not last >> k & 1:
+            return None
+        if last & rivals != 1 << k:
+            pos, gens = canon_rows(n, rows, cells)
+            d_vertex = next(v for v in reversed(pos) if (rivals >> v) & 1)
+            if d_vertex != k:
+                roots = _orbit_roots(n, gens)
+                if roots[k] != roots[d_vertex]:
+                    return None
+            return pos, gens
+    return canon_rows(n, rows, cells) if label else ()
 
 
 def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
@@ -279,9 +303,9 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
                 forced_rivals = _key_rivals(n, forced)
                 if forced_rivals is None:
                     continue
-            # a rival-free penultimate node needs no orbit test, and nothing
-            # reads its labeling: its forced child is labeled on its own
-            accepted = _accept(child, rivals) if rivals or not penult else ()
+            # nothing reads the labeling of a penultimate node: its forced
+            # child is labeled on its own
+            accepted = _accept(child, rivals, not penult)
             if accepted is None:
                 continue
             if k + 1 == split:

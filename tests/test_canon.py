@@ -211,6 +211,17 @@ def block_graphs(draw, lo=1, hi=12):
     return rows
 
 
+def masks(cells):
+    """List cells as the labeler's bitmask cells."""
+    return [sum(1 << v for v in c) for c in cells]
+
+
+def mask_refine(rows, cells, fresh=None):
+    """canon._refine on list cells: converts to bitmask cells and back."""
+    refined = canon._refine(rows, masks(cells), None if fresh is None else masks(fresh))
+    return [[v for v in range(len(rows)) if c >> v & 1] for c in refined]
+
+
 def individualizations(cells):
     """Every partition head + [[v], rest] + tail of ``cells``, with v."""
     for i, cell in enumerate(cells):
@@ -224,7 +235,7 @@ def individualizations(cells):
 @given(block_graphs())
 def test_refine_matches_full_vector_reference_from_the_unit_partition(rows):
     unit = [list(range(len(rows)))]
-    assert canon._refine(rows, unit) == full_vector_refine(rows, unit)
+    assert mask_refine(rows, unit) == full_vector_refine(rows, unit)
 
 
 @settings(max_examples=150, deadline=None)
@@ -235,9 +246,9 @@ def test_refine_of_an_individualization_matches_full_vector_reference(rows):
     equitable = full_vector_refine(rows, [list(range(len(rows)))])
     for v, cells in individualizations(equitable):
         refined = full_vector_refine(rows, cells)
-        assert canon._refine(rows, cells, [[v]]) == refined
+        assert mask_refine(rows, cells, [[v]]) == refined
         for w, deeper in itertools.islice(individualizations(refined), 4):
-            assert canon._refine(rows, deeper, [[w]]) == full_vector_refine(rows, deeper)
+            assert mask_refine(rows, deeper, [[w]]) == full_vector_refine(rows, deeper)
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,21 +260,21 @@ def test_refine_matches_reference_with_counts_above_fifteen(rows, data):
     n = len(rows)
     unit = [list(range(n))]
     equitable = full_vector_refine(rows, unit)
-    assert canon._refine(rows, unit) == equitable
+    assert mask_refine(rows, unit) == equitable
     splits = list(individualizations(equitable))
     if splits:
         v, cells = data.draw(st.sampled_from(splits))
-        assert canon._refine(rows, cells, [[v]]) == full_vector_refine(rows, cells)
+        assert mask_refine(rows, cells, [[v]]) == full_vector_refine(rows, cells)
     k = data.draw(st.integers(1, 4))
     labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     cells = [c for c in ([v for v in range(n) if labels[v] == i] for i in range(k)) if c]
-    assert canon._refine(rows, cells) == full_vector_refine(rows, cells)
+    assert mask_refine(rows, cells) == full_vector_refine(rows, cells)
 
 
 def test_refine_orders_counts_wider_than_four_bits():
     """x meets cells A, B in 18, 17 vertices and y in 19, 0, so x's fragment
-    comes first; packed four bits per count, x's key would read 305 and
-    y's 304."""
+    comes first; counts of five bits and more (packed four bits per count,
+    x's key would read 305 and y's 304)."""
     a, b = list(range(19)), list(range(19, 36))
     x, y = 36, 37
     rows = [0] * 38
@@ -272,9 +283,165 @@ def test_refine_orders_counts_wider_than_four_bits():
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     cells = [a, b, [x, y]]
-    refined = canon._refine(rows, cells)
+    refined = mask_refine(rows, cells)
     assert refined == full_vector_refine(rows, cells)
     assert refined.index([x]) < refined.index([y])
+
+
+def reference_leaf_bits(n, rows, pos):
+    """The labeler's former leaf bitstring: the upper triangle read pair by
+    pair, (0,1) first and most significant."""
+    bits = 0
+    for i in range(n):
+        ri = rows[pos[i]]
+        for j in range(i + 1, n):
+            bits = (bits << 1) | ((ri >> pos[j]) & 1)
+    return bits
+
+
+def reference_orbits(n, perms):
+    """Vertex orbits of the group generated by ``perms``, sorted by minimum."""
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for p in perms:
+            for a in range(n):
+                low = min(label[a], label[p[a]])
+                if label[a] != low or label[p[a]] != low:
+                    label[a] = label[p[a]] = low
+                    changed = True
+    return sorted((frozenset(v for v in range(n) if label[v] == r)
+                   for r in set(label)), key=min)
+
+
+def reference_search(n, rows):
+    """The labeler's former search, as the oracle of the current one: list
+    cells refined by the full-vector reference, every leaf compared with the
+    first and the best leaf, no backjumping, and the stabilizer's orbits
+    rebuilt for every sibling.  Returns (positions, generators)."""
+    best_bits = best_pos = first_bits = first_pos = None
+    gens = []
+
+    def note_automorphism(p, q):
+        gamma = [0] * n
+        for i in range(n):
+            gamma[p[i]] = q[i]
+        t = tuple(gamma)
+        if t != tuple(range(n)) and t not in gens:
+            gens.append(t)
+
+    def rec(cells, fixed):
+        nonlocal best_bits, best_pos, first_bits, first_pos
+        target, tsize = -1, n + 1
+        for idx, c in enumerate(cells):
+            if 1 < len(c) < tsize:
+                target, tsize = idx, len(c)
+        if target < 0:
+            pos = [c[0] for c in cells]
+            bits = reference_leaf_bits(n, rows, pos)
+            if first_bits is None:
+                first_bits, first_pos = bits, pos
+            elif bits == first_bits:
+                note_automorphism(pos, first_pos)
+            if best_bits is None or bits < best_bits:
+                best_bits, best_pos = bits, pos
+            elif bits == best_bits and pos != best_pos:
+                note_automorphism(pos, best_pos)
+            return
+        tcell = cells[target]
+        tried = []
+        for v in tcell:
+            stab = [g for g in gens if all(g[x] == x for x in fixed)]
+            orbits = reference_orbits(n, stab)
+            if any(v in o and w in o for o in orbits for w in tried):
+                continue
+            tried.append(v)
+            rest = [w for w in tcell if w != v]
+            rec(full_vector_refine(rows, cells[:target] + [[v], rest] + cells[target + 1:]),
+                fixed + [v])
+
+    if n:
+        rec(full_vector_refine(rows, [list(range(n))]), [])
+        return tuple(best_pos), gens
+    return (), []
+
+
+def group_size(n, gens):
+    """Order of the group generated by ``gens``, by closing it."""
+    elems = frontier = {tuple(range(n))}
+    while frontier:
+        frontier = {tuple(e[x] for x in s) for e in frontier for s in gens} - elems
+        elems = elems | frontier
+    return len(elems)
+
+
+def hypercube(d):
+    return build_graph(1 << d, [(u, u | 1 << i) for u in range(1 << d)
+                                for i in range(d) if not u >> i & 1])
+
+
+def circulant(n, jumps):
+    return build_graph(n, {(min(u, (u + j) % n), max(u, (u + j) % n))
+                           for u in range(n) for j in jumps})
+
+
+def complete_bipartite(a, b):
+    return build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+SYMMETRIC = [cycle(n) for n in range(3, 11)] + [complete(n) for n in range(1, 9)] + [
+    complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 6)
+] + [hypercube(3), hypercube(4), petersen(), cocktail_party(8)] + [
+    circulant(n, jumps) for n, jumps in
+    ((8, (1, 3)), (9, (1, 3)), (10, (1, 4)), (10, (2, 5)), (12, (1, 5)), (13, (1, 5)))
+]
+
+
+def check_against_reference(g, group_order):
+    pos, gens = canon_rows(g.n, g.rows)
+    want_pos, want_gens = reference_search(g.n, g.rows)
+    assert pos == want_pos
+    for gen in gens:
+        assert relabel(g, list(gen)) == g
+    assert reference_orbits(g.n, gens) == reference_orbits(g.n, want_gens)
+    if g.n <= 8:
+        assert group_order(g) == group_size(g.n, want_gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))))
+def test_canon_rows_matches_the_reference_search_on_random_graphs(group_order, graph):
+    """Positions, orbit partition and group order agree with the former
+    search on random graphs of order up to 10."""
+    n, coins = graph
+    pairs = itertools.combinations(range(n), 2)
+    check_against_reference(
+        build_graph(n, [e for e, on in zip(pairs, coins) if on]), group_order)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SYMMETRIC).flatmap(
+    lambda g: st.tuples(st.just(g), st.permutations(range(g.n)))))
+def test_canon_rows_matches_the_reference_search_on_relabeled_symmetric_graphs(
+        group_order, graph):
+    """Cycles, complete and complete bipartite graphs, Q_3, Q_4, Petersen,
+    a cocktail party graph and circulants, each under a random relabeling:
+    the graphs where automorphism pruning and backjumping do the most."""
+    g, perm = graph
+    check_against_reference(relabel(g, perm), group_order)
+
+
+@pytest.mark.parametrize("graph,most", [
+    (petersen(), 4), (hypercube(4), 4), (cycle(9), 2), (cocktail_party(8), 7),
+] + [(complete(n), n - 1) for n in (2, 5, 8)])
+def test_pruning_keeps_the_generator_list_short(graph, most):
+    """Backjumping and cells of twins: the former search found 10
+    generators for Petersen and for Q_4, 3 for C_9, 10 for CP(8) and
+    n(n - 1)/2 for K_n."""
+    assert len(canon_rows(graph.n, graph.rows)[1]) <= most
 
 
 # sha256 over the census, in sorted graph6 order, of the canon_rows

@@ -1,16 +1,19 @@
 """Isomorph-free enumeration: counts, dedup, filters, shards, ranking."""
+import functools
 import hashlib
 import math
 import os
 import random
 import signal
+from collections import Counter
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wienerlab import generate
-from wienerlab.canon import canonical_form
+from wienerlab.canon import _orbit_roots, canon_rows, canonical_form
 from wienerlab.families import cocktail_party, cycle, vertex_glued_cycles
 from wienerlab.generate import (
     EnumFilter,
@@ -28,6 +31,7 @@ from wienerlab.graphs import (
     graph6_encode,
     is_connected,
     is_even_graph,
+    relabel,
     wiener,
 )
 
@@ -40,6 +44,7 @@ CENSUS_SHA256 = {
     ("eulerian", 9): "9894624bdc5a668cc96d4a70a1b488be7fdee9265179374933c7a3db62dcbc7d",
     ("eulerian", 10): "ad2b6532c4ffed827258e59e5557befec4cdbd874fa28cc7277a9b16cdcffc5e",
     ("connected", 7): "d8d2dc06ce96c6a4d2e4a53d8d1f975b269b0f11122ad7cf58df39ea3d146431",
+    ("connected", 8): "55c41935f8ce378ecfe7676485bf0e9e7744f60c5bba9e1e1fa9a3ac0d87f4cf",
 }
 
 
@@ -195,12 +200,13 @@ def test_census_contents_are_pinned(kind, n, count):
 
 
 def test_order_eight_canon_calls_unsharded_and_over_shards(canon_calls):
-    """Pre-canon rejection keeps the labeler off most children, a rival-free
-    node of order n - 1 is not labeled, and shards do not each rebuild the
-    whole tree."""
+    """Pre-canon rejection keeps the labeler off most children, a node of
+    order n - 1 is not labeled when it has no rival or the root partition
+    settles its orbit test, and shards do not each rebuild the whole
+    tree."""
     census_digest(EnumFilter(order=8))
     unsharded = canon_calls[0]
-    assert unsharded <= 528
+    assert unsharded <= 456
     canon_calls[0] = 0
     census_digest(EnumFilter(order=8), shards(8))
     assert canon_calls[0] <= 2 * unsharded
@@ -208,7 +214,15 @@ def test_order_eight_canon_calls_unsharded_and_over_shards(canon_calls):
 
 def test_order_nine_census_contents_and_canon_calls(canon_calls):
     assert census_digest(EnumFilter(order=9)) == (1782, CENSUS_SHA256["eulerian", 9])
-    assert canon_calls[0] <= 4870
+    assert canon_calls[0] <= 3712
+
+
+def test_connected_order_eight_census_contents_and_canon_calls(canon_calls):
+    """Without parity pruning every accepted child is labeled, except where
+    the root partition rejects it first."""
+    filt = EnumFilter(order=8, require_even_degrees=False)
+    assert census_digest(filt) == (11117, CENSUS_SHA256["connected", 8])
+    assert canon_calls[0] <= 12137
 
 
 @pytest.fixture
@@ -266,6 +280,88 @@ def test_degree_prefilter_rejects_only_key_test_losers(rows):
         t = s.bit_count()
         if above[t] & ~s or t > 1 and above[t - 1] & s:
             assert generate._key_rivals(k + 1, generate._attach(rows, s)) is None
+
+
+def labeler_orbit_test(child, rivals):
+    """The orbit test read off a full labeling: the deletion vertex is the
+    rival or new vertex with the largest canonical position, and the child
+    passes when that vertex shares an orbit with the new vertex."""
+    n = len(child)
+    pos, gens = canon_rows(n, child)
+    rivals |= 1 << n - 1
+    d_vertex = next(v for v in reversed(pos) if rivals >> v & 1)
+    roots = _orbit_roots(n, gens)
+    return roots[d_vertex] == roots[n - 1]
+
+
+def settled_orbit_test(child, rivals):
+    """_accept's answer for an unlabeled node and whether it needed the
+    labeler: (passed, labeled)."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return canon_rows(*args)
+
+    with patch.object(generate, "canon_rows", counting):
+        got = generate._accept(child, rivals, False)
+    return got is not None, bool(calls)
+
+
+def rival_children(rows):
+    """Every child of ``rows`` that passes the key test with a rival, and
+    its rivals."""
+    k = len(rows)
+    for s in range(1, 1 << k):
+        child = generate._attach(rows, s)
+        rivals = generate._key_rivals(k + 1, child)
+        if rivals:
+            yield child, rivals
+
+
+@functools.cache
+def connected_classes():
+    return [g for k in range(3, 8)
+            for g in enumerate_graphs(EnumFilter(order=k, require_even_degrees=False))]
+
+
+@st.composite
+def relabeled_classes(draw):
+    """Rows of a random connected graph of order 3..7, drawn uniformly over
+    the isomorphism classes and relabeled at random.  Drawn edge by edge,
+    almost no graph has a child whose new vertex shares a root cell with a
+    rival outside its orbit."""
+    g = draw(st.sampled_from(connected_classes()))
+    return list(relabel(g, draw(st.permutations(range(g.n)))).rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.deferred(relabeled_classes))
+def test_root_partition_settles_orbit_tests_as_the_labeler_does(rows):
+    """Whenever the root partition rejects or accepts a child without a
+    search, a full labeling and its orbit partition give the same answer;
+    a labeled answer carries canon_rows' own positions."""
+    for child, rivals in rival_children(rows):
+        passed, _ = settled_orbit_test(child, rivals)
+        assert passed == labeler_orbit_test(child, rivals)
+        labeled = generate._accept(child, rivals)
+        assert (labeled is not None) == passed
+        if passed:
+            assert labeled[0] == canon_rows(len(child), child)[0]
+
+
+def test_root_partition_rejects_accepts_and_defers_over_all_small_parents():
+    """Over the children of every connected graph of order 3..6 the root
+    partition rejects some children and accepts some outright, and leaves
+    the rest to the labeler; every answer agrees with the labeler's."""
+    outcomes = Counter()
+    for k in range(3, 7):
+        for g in enumerate_graphs(EnumFilter(order=k, require_even_degrees=False)):
+            for child, rivals in rival_children(list(g.rows)):
+                passed, labeled = settled_orbit_test(child, rivals)
+                assert passed == labeler_orbit_test(child, rivals)
+                outcomes[passed, labeled] += 1
+    assert set(outcomes) == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def test_order_two_has_no_even_class():
