@@ -29,6 +29,7 @@ from .canon import canonical_form
 from .families import FAMILIES
 from .formulas import FORMULAS, second_place_gap_numerator
 from .generate import (
+    POOL_MIN_ORDER,
     SHARDS as _INTERNAL_SHARDS,  # read by perfbench's traced pool run
     EnumFilter,
     EnumPartition,
@@ -39,6 +40,9 @@ from .generate import (
 )
 from .graphs import Graph, graph6_decode, graph6_encode, wiener
 from .verify import ClaimReport, CLAIM_IDS, min_wiener_table, verify_claim
+
+_JOBS_HELP = (f"worker processes; below order {POOL_MIN_ORDER} the run stays "
+              "in this process")
 
 
 @contextmanager
@@ -193,7 +197,7 @@ def _build_filter(n: int, m: Optional[int]) -> EnumFilter:
 @click.option("--shards", type=int, default=None, help="total shards")
 @click.option("--shard", type=int, default=None, help="this shard's index")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="worker processes; ignored when --shards/--shard are given")
+              help=_JOBS_HELP + "; ignored when --shards/--shard are given")
 @click.option("--format", "fmt", type=click.Choice(["g6", "text", "json"]),
               default="g6", show_default=True)
 def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
@@ -207,7 +211,7 @@ def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
         filt.validate()
         kw = {"order": filt.order, "require_even_degrees": True,
               "size_range": filt.size_range}
-        lines = (map_shards(_shard_g6, kw, jobs) if shards is None
+        lines = (map_shards(_shard_g6, kw, jobs, n) if shards is None
                  else _shard_g6((kw, shards, shard)))
     lines.sort()
     if count:
@@ -225,7 +229,7 @@ def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
               help="number of distinct Wiener values to keep")
 @click.option("--objective", type=click.Choice(["max", "min"]), default="max",
               show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=int, default=1, show_default=True, help=_JOBS_HELP)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json", "g6"]),
               default="text", show_default=True)
 def cmd_rank(n: int, top: int, objective: str, jobs: int, fmt: str) -> None:
@@ -238,7 +242,7 @@ def cmd_rank(n: int, top: int, objective: str, jobs: int, fmt: str) -> None:
             raise ValueError("k must be positive")
         args = ({"order": filt.order, "require_even_degrees": True}, obj, top)
         found: dict[int, set[str]] = {}
-        for w, g6 in map_shards(_shard_rank, args, jobs):
+        for w, g6 in map_shards(_shard_rank, args, jobs, n):
             found.setdefault(w, set()).add(g6)
         sign = -1 if obj == "max_wiener" else 1
         keep = sorted(found, key=lambda w: sign * w)[:top]
@@ -279,7 +283,7 @@ def _report_payload(report: ClaimReport) -> dict:
 @click.option("--n", type=int, default=None)
 @click.option("--n-range", "n_range", type=str, default=None,
               metavar="A:B", help="order range for L3/GAP")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=int, default=1, show_default=True, help=_JOBS_HELP)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", show_default=True)
 def cmd_verify(claim_id: str, n: Optional[int], n_range: Optional[str],
@@ -305,7 +309,7 @@ def cmd_verify(claim_id: str, n: Optional[int], n_range: Optional[str],
 @click.option("--n", type=int, required=True)
 @click.option("--m", "m_max", type=int, default=None,
               help="largest size row (default: one below the diameter-2 threshold)")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=int, default=1, show_default=True, help=_JOBS_HELP)
 @click.option("--format", "fmt", type=click.Choice(["csv", "text", "json"]),
               default="csv", show_default=True)
 def cmd_min_table(n: int, m_max: Optional[int], jobs: int, fmt: str) -> None:

@@ -67,7 +67,9 @@ below n = 8 and min(n - 3, 6) from n = 8 on; every shard rebuilds the levels
 above that split, which stay small next to the pruned levels below it.
 Which classes land in which shard depends on the split and the deletion
 rule; only the union of the shards is guaranteed.
-:func:`map_shards` runs the SHARDS shards of one task on a process pool.
+:func:`map_shards` runs the SHARDS shards of one task on a process pool
+from order POOL_MIN_ORDER on, and the whole task in this process below it,
+where starting the pool costs more than the work it shares.
 """
 from __future__ import annotations
 
@@ -79,6 +81,7 @@ from .graphs import Graph, _bits, _cut_mask, _is_cut, from_adjacency_masks
 
 MAX_ORDER = 12
 SHARDS = 8   # the split of every --jobs run, whatever the worker count
+POOL_MIN_ORDER = 9   # below it a --jobs run stays in this process
 
 
 @dataclass(frozen=True)
@@ -352,28 +355,45 @@ class WorkerError(RuntimeError):
 
 
 def map_shards(worker: Callable[[tuple], list], args: object,
-               jobs: Optional[int]) -> list:
+               jobs: Optional[int], order: int) -> list:
     """Run ``worker((args, SHARDS, i))`` for every shard i on min(jobs, SHARDS)
     processes and concatenate the results in shard order.  ``worker`` must be
-    a module-level function so that the pool can pickle it.  An exception in
-    any worker, or a worker process that dies (BrokenProcessPool), is raised
-    here as a :class:`WorkerError` with a one-line message, and no partial
-    result is returned.  With jobs None or below 2 no pool starts: the
+    a module-level function so that the pool can pickle it.
+
+    This is the one place that decides between pool and inline.  With jobs
+    None or below 2, or ``order`` below POOL_MIN_ORDER, no pool starts: the
     result is ``worker((args, 1, 0))``, run here, unsharded, and its
-    exceptions pass through unwrapped."""
-    if not jobs or jobs < 2:
+    exceptions pass through unwrapped.  On 2 cores, ``enumerate --n 8``
+    took about 0.225 s of wall time with the pool and 0.155 s without.
+
+    In the pool, the first shard that raises, or a worker process that dies
+    (BrokenProcessPool), ends the wait: the shards not yet handed to a
+    worker are cancelled, and a :class:`WorkerError` with a one-line message
+    is raised at once for the lowest failed shard among the finished ones.
+    No partial result is returned.  Running workers cannot be stopped: they
+    still finish the shards already running or queued for them, and the
+    interpreter waits for those at exit.  With two workers, 3 s shards and
+    shard 0 failing at once, the error came after about 0.05 s, and the exit
+    after 6 or 9 s for the three to five shards already handed out.
+    """
+    if not jobs or jobs < 2 or order < POOL_MIN_ORDER:
         return worker((args, 1, 0))
     # imported here, not at the top: commands that never fan out stay smaller
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
-    with ProcessPoolExecutor(min(jobs, SHARDS)) as pool:
-        try:
-            parts = list(pool.map(worker, [(args, SHARDS, i) for i in range(SHARDS)]))
-        except Exception as exc:
-            detail = " ".join(str(exc).split())
-            raise WorkerError(
-                f"shard worker failed: {type(exc).__name__}: {detail}"
-            ) from exc
+    pool = ProcessPoolExecutor(min(jobs, SHARDS))
+    try:
+        futures = [pool.submit(worker, (args, SHARDS, i)) for i in range(SHARDS)]
+        done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+        # all shards are done unless one failed; the lowest failed one raises
+        parts = [f.result() for f in futures if f in done]
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        raise WorkerError(
+            f"shard worker failed: {type(exc).__name__}: {detail}"
+        ) from exc
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
     return [item for part in parts for item in part]
 
 

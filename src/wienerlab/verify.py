@@ -188,14 +188,15 @@ def eulerian_census(n: int, jobs: Optional[int] = None) -> tuple[tuple[int, int,
     """All connected even-degree graphs of order n as (W, m, graph6) rows.
 
     Rows are canonically encoded and sorted by descending W, then size, then
-    encoding.  Results are cached per order; from order 9 on, jobs > 1
-    splits the generation tree across worker processes.
+    encoding.  Results are cached per order; jobs > 1 splits the generation
+    tree across worker processes when map_shards starts a pool, from
+    generate.POOL_MIN_ORDER on.
     """
     if n in _eulerian_cache:
         return _eulerian_cache[n]
     if not 3 <= n <= EULERIAN_ENVELOPE:
         raise ValueError(f"census supported for 3 <= n <= {EULERIAN_ENVELOPE}")
-    rows = map_shards(_eulerian_shard, n, jobs if n >= 9 else None)
+    rows = map_shards(_eulerian_shard, n, jobs, n)
     _check_count("A003049", A003049, n, len(rows))
     rows.sort(key=lambda r: (-r[0], r[1], r[2]))
     frozen = tuple(rows)

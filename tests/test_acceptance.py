@@ -140,7 +140,7 @@ def test_criterion_04_cycle_uniquely_maximizes_through_order_nine():
         ], f"order {n}"
     t0 = time.perf_counter()
     kw = {"order": 9, "require_even_degrees": True}
-    entries = map_shards(_shard_rank, (kw, "max_wiener", 1), jobs=8)
+    entries = map_shards(_shard_rank, (kw, "max_wiener", 1), jobs=8, order=9)
     best = max(w for w, _ in entries)
     attainers = sorted({g6 for w, g6 in entries if w == best})
     elapsed = time.perf_counter() - t0

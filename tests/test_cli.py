@@ -1,4 +1,5 @@
 """Command-line surface: formats, exit codes, determinism."""
+import concurrent.futures
 import json
 import os
 import re
@@ -172,6 +173,33 @@ def test_enumerate_output_is_sorted_for_any_jobs(runner):
     assert shard_lines == sorted(shard_lines)
 
 
+def test_pooled_runs_match_the_census(runner, census9):
+    """From order 9 on --jobs 2 starts the pool; its stdout is what the
+    order-9 census gives."""
+    pooled = runner.invoke(main, ["enumerate", "--n", "9", "--jobs", "2"])
+    assert pooled.exit_code == 0
+    assert pooled.stdout.splitlines() == sorted(g6 for _, _, g6 in census9)
+    ranked = runner.invoke(main, ["rank", "--n", "9", "--top", "3", "--jobs", "2"])
+    assert ranked.exit_code == 0
+    top = sorted({w for w, _, _ in census9}, reverse=True)[:3]
+    assert ranked.stdout.splitlines() == [
+        f"{w} {g6}" for w in top for g6 in sorted(g for v, _, g in census9 if v == w)]
+
+
+def test_no_pool_starts_below_order_nine(runner, monkeypatch):
+    """Below the floor --jobs 2 runs in this process, with the same bytes."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for command in (["enumerate", "--n", "8"], ["rank", "--n", "5"]):
+        serial = runner.invoke(main, command + ["--jobs", "1"])
+        pooled = runner.invoke(main, command + ["--jobs", "2"])
+        assert serial.exit_code == pooled.exit_code == 0
+        assert pooled.stdout == serial.stdout
+        assert serial.stdout
+
+
 def test_enumerate_jobs_is_ignored_with_shards(runner):
     plain = runner.invoke(main, ["enumerate", "--n", "6",
                                  "--shards", "3", "--shard", "0"])
@@ -263,8 +291,8 @@ def fail_in_shard_three(args):
 
 
 @pytest.mark.parametrize("command,module,worker", [
-    (["enumerate", "--n", "7", "--jobs", "2"], cli, "_shard_g6"),
-    (["rank", "--n", "7", "--jobs", "2"], cli, "_shard_rank"),
+    (["enumerate", "--n", "9", "--jobs", "2"], cli, "_shard_g6"),
+    (["rank", "--n", "9", "--jobs", "2"], cli, "_shard_rank"),
     (["verify", "--claim", "T1", "--n", "9", "--jobs", "2"], verify,
      "_eulerian_shard"),
 ])

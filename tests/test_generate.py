@@ -5,6 +5,7 @@ import math
 import os
 import random
 import signal
+import time
 from collections import Counter
 from itertools import combinations
 from unittest.mock import patch
@@ -487,8 +488,29 @@ def fail_in_shard_three(args):
 
 def test_map_shards_reports_a_failed_worker_on_one_line():
     with pytest.raises(WorkerError) as info:
-        map_shards(fail_in_shard_three, None, 2)
+        map_shards(fail_in_shard_three, None, 2, 9)
     assert str(info.value) == "shard worker failed: ArithmeticError: shard 3 broke"
+
+
+def fail_at_once_in_shard_zero(args):
+    """Shard worker that raises at once in shard 0 and sleeps 3 s in every
+    other shard; module level, since the pool pickles it."""
+    _, _, index = args
+    if index == 0:
+        raise ArithmeticError("shard 0 broke")
+    time.sleep(3)
+    return [index]
+
+
+def test_map_shards_raises_without_waiting_for_the_slow_shards(alarm):
+    """The error does not wait for the shards already handed to the two
+    workers, which takes 6 to 9 s."""
+    t0 = time.perf_counter()
+    with pytest.raises(WorkerError) as info:
+        map_shards(fail_at_once_in_shard_zero, None, 2, 9)
+    elapsed = time.perf_counter() - t0
+    assert str(info.value) == "shard worker failed: ArithmeticError: shard 0 broke"
+    assert elapsed < 4.5, f"the error took {elapsed:.2f} s"
 
 
 TEST_PID = os.getpid()
@@ -505,6 +527,6 @@ def kill_in_shard_three(args):
 
 def test_map_shards_reports_a_killed_worker_instead_of_hanging(alarm):
     with pytest.raises(WorkerError) as info:
-        map_shards(kill_in_shard_three, None, 2)
+        map_shards(kill_in_shard_three, None, 2, 9)
     assert str(info.value).startswith("shard worker failed: BrokenProcessPool: ")
     assert "\n" not in str(info.value)
