@@ -43,13 +43,9 @@ from .generate import (
     extremal_scan,
 )
 from .graphs import (
-    BlockDecomposition,
     Graph,
     bfs_distances,
-    block_decomposition,
-    bridges,
     build_graph,
-    cut_vertices,
     diameter,
     from_adjacency_masks,
     graph6_decode,
@@ -57,8 +53,6 @@ from .graphs import (
     is_connected,
     is_eulerian,
     is_even_graph,
-    is_two_connected,
-    is_two_edge_connected,
     relabel,
     sigma_set,
     sigma_vertex,

@@ -21,6 +21,7 @@ import io
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from typing import Iterator, Optional
 
 import click
@@ -34,15 +35,20 @@ from .generate import (
     EnumFilter,
     EnumPartition,
     WorkerError,
+    _top_k,
     enumerate_graphs,
     extremal_scan,
     map_shards,
 )
-from .graphs import Graph, graph6_decode, graph6_encode, wiener
+from .graphs import graph6_decode, graph6_encode, wiener
 from .verify import ClaimReport, CLAIM_IDS, min_wiener_table, verify_claim
 
-_JOBS_HELP = (f"worker processes; below order {POOL_MIN_ORDER} the run stays "
-              "in this process")
+
+def _jobs_option(extra: str = ""):
+    return click.option(
+        "--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+        help=f"worker processes; below order {POOL_MIN_ORDER} the run stays "
+             f"in this process{extra}")
 
 
 @contextmanager
@@ -100,17 +106,16 @@ def cmd_wiener() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _family_args(names: tuple[str, ...], n: Optional[int], a: Optional[int]) -> list:
+def _registry_args(names: tuple[str, ...], given: dict[str, Optional[int]],
+                   what: str) -> list[int]:
+    """The option values for a registry entry's parameter names, in order;
+    a family's k is read from --n."""
     values = []
     for name in names:
-        if name in ("n", "k"):
-            if n is None:
-                raise ValueError("this family needs --n")
-            values.append(n)
-        elif name == "a":
-            if a is None:
-                raise ValueError("this family needs --a")
-            values.append(a)
+        flag = "n" if name == "k" else name
+        if given.get(flag) is None:
+            raise ValueError(f"{what} needs --{flag}")
+        values.append(given[flag])
     return values
 
 
@@ -124,7 +129,7 @@ def cmd_construct(family: str, n: Optional[int], a: Optional[int], fmt: str) -> 
     """Emit one family member (or catalog) as canonical graph6, one per line."""
     names, fn = FAMILIES[family]
     with _exit_codes():
-        result = fn(*_family_args(names, n, a))
+        result = fn(*_registry_args(names, {"n": n, "a": a}, "this family"))
     graphs = list(result) if isinstance(result, tuple) else [result]
     lines = [canonical_form(g) for g in graphs]
     if fmt == "json":
@@ -145,13 +150,8 @@ def cmd_formula(name: str, n: Optional[int], a: Optional[int],
                 m: Optional[int], fmt: str) -> None:
     """Evaluate a closed form; exact integers (gaps print as N/24)."""
     names, fn = FORMULAS[name]
-    values = []
     with _exit_codes():
-        for pname in names:
-            given = {"n": n, "a": a, "m": m}.get(pname)
-            if given is None:
-                raise ValueError(f"formula {name} needs --{pname}")
-            values.append(given)
+        values = _registry_args(names, {"n": n, "a": a, "m": m}, f"formula {name}")
         result = fn(*values)
     if name == "second-place-gap":
         # keep the /24 denominator visible rather than auto-reducing
@@ -196,8 +196,7 @@ def _build_filter(n: int, m: Optional[int]) -> EnumFilter:
 @click.option("--count", is_flag=True, help="print only the class count")
 @click.option("--shards", type=int, default=None, help="total shards")
 @click.option("--shard", type=int, default=None, help="this shard's index")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help=_JOBS_HELP + "; ignored when --shards/--shard are given")
+@_jobs_option("; ignored when --shards/--shard are given")
 @click.option("--format", "fmt", type=click.Choice(["g6", "text", "json"]),
               default="g6", show_default=True)
 def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
@@ -207,10 +206,7 @@ def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
     with _exit_codes():
         if (shards is None) != (shard is None):
             raise ValueError("--shards and --shard must be given together")
-        filt = _build_filter(n, m)
-        filt.validate()
-        kw = {"order": filt.order, "require_even_degrees": True,
-              "size_range": filt.size_range}
+        kw = asdict(_build_filter(n, m))
         lines = (map_shards(_shard_g6, kw, jobs, n) if shards is None
                  else _shard_g6((kw, shards, shard)))
     lines.sort()
@@ -229,24 +225,17 @@ def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
               help="number of distinct Wiener values to keep")
 @click.option("--objective", type=click.Choice(["max", "min"]), default="max",
               show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True, help=_JOBS_HELP)
+@_jobs_option()
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json", "g6"]),
               default="text", show_default=True)
 def cmd_rank(n: int, top: int, objective: str, jobs: int, fmt: str) -> None:
     """Extreme Wiener values over connected even-degree graphs of order N."""
     obj = "max_wiener" if objective == "max" else "min_wiener"
     with _exit_codes():
-        filt = _build_filter(n, None)
-        filt.validate()
+        kw = asdict(_build_filter(n, None))
         if top < 1:  # here, not in the workers: every --jobs value gives one error
             raise ValueError("k must be positive")
-        args = ({"order": filt.order, "require_even_degrees": True}, obj, top)
-        found: dict[int, set[str]] = {}
-        for w, g6 in map_shards(_shard_rank, args, jobs, n):
-            found.setdefault(w, set()).add(g6)
-        sign = -1 if obj == "max_wiener" else 1
-        keep = sorted(found, key=lambda w: sign * w)[:top]
-        entries = [(w, g6) for w in keep for g6 in sorted(found[w])]
+        entries = _top_k(map_shards(_shard_rank, (kw, obj, top), jobs, n), obj, top)
     if fmt == "json":
         click.echo(json.dumps([{"wiener": w, "graph6": g6} for w, g6 in entries]))
     elif fmt == "csv":
@@ -283,7 +272,7 @@ def _report_payload(report: ClaimReport) -> dict:
 @click.option("--n", type=int, default=None)
 @click.option("--n-range", "n_range", type=str, default=None,
               metavar="A:B", help="order range for L3/GAP")
-@click.option("--jobs", type=int, default=1, show_default=True, help=_JOBS_HELP)
+@_jobs_option()
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", show_default=True)
 def cmd_verify(claim_id: str, n: Optional[int], n_range: Optional[str],
@@ -309,7 +298,7 @@ def cmd_verify(claim_id: str, n: Optional[int], n_range: Optional[str],
 @click.option("--n", type=int, required=True)
 @click.option("--m", "m_max", type=int, default=None,
               help="largest size row (default: one below the diameter-2 threshold)")
-@click.option("--jobs", type=int, default=1, show_default=True, help=_JOBS_HELP)
+@_jobs_option()
 @click.option("--format", "fmt", type=click.Choice(["csv", "text", "json"]),
               default="csv", show_default=True)
 def cmd_min_table(n: int, m_max: Optional[int], jobs: int, fmt: str) -> None:

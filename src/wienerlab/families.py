@@ -19,6 +19,11 @@ def _check_order(n: int) -> None:
             f"order {n} exceeds {G6_MAX_ORDER}, the largest graph6 encodes")
 
 
+def _ring(vertices: Sequence[int]) -> list[tuple[int, int]]:
+    """The edges of the cycle that visits ``vertices`` in order."""
+    return list(zip(vertices, [*vertices[1:], vertices[0]]))
+
+
 # ---------------------------------------------------------------------------
 # elementary families
 
@@ -28,7 +33,7 @@ def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     _check_order(n)
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return build_graph(n, _ring(range(n)))
 
 
 def path(n: int) -> Graph:
@@ -75,11 +80,7 @@ def vertex_glued_cycles(n: int, a: int) -> Graph:
     if not 3 <= a <= n - 2:
         raise ValueError(f"need 3 <= a <= n-2, got a={a}, n={n}")
     _check_order(n)
-    ring_a = [(i, i + 1) for i in range(a - 1)] + [(a - 1, 0)]
-    other = [0] + list(range(a, n))
-    ring_b = [(other[i], other[i + 1]) for i in range(len(other) - 1)]
-    ring_b.append((n - 1, 0))
-    return build_graph(n, ring_a + ring_b)
+    return build_graph(n, _ring(range(a)) + _ring([0, *range(a, n)]))
 
 
 def edge_glued_cycles(n: int, a: int) -> Graph:
@@ -92,12 +93,7 @@ def edge_glued_cycles(n: int, a: int) -> Graph:
     if not 4 <= a <= n - 2:
         raise ValueError(f"need 4 <= a <= n-2, got a={a}, n={n}")
     _check_order(n)
-    ring_a = [(i, i + 1) for i in range(a - 1)] + [(a - 1, 0)]
-    other = [0, 1] + list(range(a, n))
-    ring_b = [(other[i], other[i + 1]) for i in range(len(other) - 1)]
-    ring_b.append((n - 1, 0))
-    edges = {tuple(sorted(e)) for e in ring_a + ring_b}
-    return build_graph(n, sorted(edges))
+    return build_graph(n, _ring(range(a)) + _ring([0, 1, *range(a, n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +127,9 @@ def cycle_chain(lengths: Sequence[int]) -> Graph:
         if length % 2:
             long_arm.append(fresh[-2] if length > 3 else fresh[0])
         long_arm.append(exit_v)
-        for arm in (short_arm, long_arm):
-            edges.extend((arm[i], arm[i + 1]) for i in range(len(arm) - 1))
+        edges += _ring(short_arm + long_arm[-2:0:-1])
         entry = exit_v
-    return build_graph(nxt, sorted(tuple(sorted(e)) for e in edges))
+    return build_graph(nxt, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +141,8 @@ def friendship(k: int) -> Graph:
     if k < 1:
         raise ValueError("friendship graph needs k >= 1")
     _check_order(2 * k + 1)
-    edges = []
-    for i in range(k):
-        a, b = 2 * i + 1, 2 * i + 2
-        edges += [(0, a), (0, b), (a, b)]
-    return build_graph(2 * k + 1, edges)
+    return build_graph(
+        2 * k + 1, [e for i in range(k) for e in _ring((0, 2 * i + 1, 2 * i + 2))])
 
 
 def sparse_diameter_two(n: int) -> Graph:

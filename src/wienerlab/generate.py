@@ -74,14 +74,18 @@ where starting the pool costs more than the work it shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .canon import Perm, _orbit_roots, _placed, _refine, canon_rows
-from .graphs import Graph, _bits, _cut_mask, _is_cut, from_adjacency_masks
+from .graphs import (
+    Graph, _bits, _cut_mask, _is_cut, from_adjacency_masks, graph6_encode, wiener,
+)
 
 MAX_ORDER = 12
 SHARDS = 8   # the split of every --jobs run, whatever the worker count
 POOL_MIN_ORDER = 9   # below it a --jobs run stays in this process
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,7 @@ class EnumFilter:
     require_even_degrees: bool = True
     size_range: Optional[tuple[int, int]] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 1 <= self.order <= MAX_ORDER:
             raise ValueError(
                 f"order {self.order} outside the supported range 1..{MAX_ORDER}"
@@ -111,7 +115,7 @@ class EnumPartition:
     total_shards: int = 1
     shard_index: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.total_shards < 1:
             raise ValueError(
                 f"shard count must be positive, got {self.total_shards}")
@@ -254,7 +258,15 @@ def _accept(
     return canon_rows(n, rows, cells) if label else ()
 
 
-def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
+def enumerate_graphs(
+    filt: EnumFilter, partition: Optional[EnumPartition] = None
+) -> Iterator[Graph]:
+    """Stream one canonical representative per isomorphism class.
+
+    Deterministic for a fixed (filter, partition); shards of a partition are
+    disjoint and their union equals the unpartitioned run.
+    """
+    part = partition or EnumPartition()
     n = filt.order
     even = filt.require_even_degrees
     m_hi = filt.size_range[1] if filt.size_range is not None else None
@@ -330,20 +342,6 @@ def _connected_stream(filt: EnumFilter, part: EnumPartition) -> Iterator[Graph]:
     yield from rec([0], 1, 0, [])
 
 
-def enumerate_graphs(
-    filt: EnumFilter, partition: Optional[EnumPartition] = None
-) -> Iterator[Graph]:
-    """Stream one canonical representative per isomorphism class.
-
-    Deterministic for a fixed (filter, partition); shards of a partition are
-    disjoint and their union equals the unpartitioned run.
-    """
-    filt.validate()
-    part = partition or EnumPartition()
-    part.validate()
-    yield from _connected_stream(filt, part)
-
-
 def count_graphs(
     filt: EnumFilter, partition: Optional[EnumPartition] = None
 ) -> int:
@@ -397,6 +395,30 @@ def map_shards(worker: Callable[[tuple], list], args: object,
     return [item for part in parts for item in part]
 
 
+def _top_k(pairs: Iterable[tuple[int, _T]], objective: str, k: int,
+           label: Callable[[_T], str] = str) -> list[tuple[int, str]]:
+    """The ranking rule of :func:`extremal_scan` over (value, item) pairs:
+    the k best distinct values by ``objective``, each with every item that
+    attains it.  Only kept items are labeled; ties sort by label bytes."""
+    if objective not in ("max_wiener", "min_wiener"):
+        raise ValueError(f"unknown objective {objective!r}")
+    if k < 1:
+        raise ValueError("k must be positive")
+    sign = -1 if objective == "max_wiener" else 1
+    kept: dict[int, list[_T]] = {}
+    for w, item in pairs:
+        if w not in kept:
+            if len(kept) == k:
+                worst = max(kept, key=lambda v: sign * v)
+                if sign * w >= sign * worst:
+                    continue
+                del kept[worst]
+            kept[w] = []
+        kept[w].append(item)
+    return [(w, text) for w in sorted(kept, key=lambda v: sign * v)
+            for text in sorted(map(label, kept[w]))]
+
+
 def extremal_scan(
     filt: EnumFilter,
     objective: str = "max_wiener",
@@ -408,23 +430,5 @@ def extremal_scan(
     Returns (wiener, graph6) pairs grouped by value in objective order, ties
     sorted by canonical graph6 bytes.
     """
-    from .graphs import graph6_encode, wiener
-
-    if objective not in ("max_wiener", "min_wiener"):
-        raise ValueError(f"unknown objective {objective!r}")
-    if k < 1:
-        raise ValueError("k must be positive")
-    sign = -1 if objective == "max_wiener" else 1
-    kept: dict[int, list[str]] = {}
-    for g in enumerate_graphs(filt, partition):
-        w = wiener(g)
-        if w not in kept:
-            if len(kept) == k:
-                worst = max(kept, key=lambda v: sign * v)
-                if sign * w >= sign * worst:
-                    continue
-                del kept[worst]
-            kept[w] = []
-        kept[w].append(graph6_encode(g))
-    return [(w, g6) for w in sorted(kept, key=lambda v: sign * v)
-            for g6 in sorted(kept[w])]
+    return _top_k(((wiener(g), g) for g in enumerate_graphs(filt, partition)),
+                  objective, k, graph6_encode)

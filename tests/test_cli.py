@@ -281,6 +281,33 @@ def test_rank_top_below_one_is_a_usage_error_for_any_jobs(runner, monkeypatch, j
     assert result.stderr == "error: k must be positive\n"
 
 
+@pytest.mark.parametrize("objective", ["min", "max"])
+@pytest.mark.parametrize("top", ["1", "4"])
+def test_pooled_rank_merge_matches_one_process(runner, alarm, objective, top):
+    """At order 9 --jobs 2 merges the top lists of eight pooled shards; the
+    merge gives the bytes of the unsharded run for both objectives."""
+    command = ["rank", "--n", "9", "--objective", objective, "--top", top]
+    serial = runner.invoke(main, command + ["--jobs", "1"])
+    pooled = runner.invoke(main, command + ["--jobs", "2"])
+    assert serial.exit_code == pooled.exit_code == 0
+    assert pooled.stdout == serial.stdout
+    assert len(serial.stdout.splitlines()) >= int(top)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--n", "9", "--count"],
+    ["rank", "--n", "9"],
+    ["verify", "--claim", "T1", "--n", "9"],
+    ["min-table", "--n", "9"],
+])
+def test_jobs_below_one_is_a_usage_error(runner, command, jobs):
+    result = runner.invoke(main, command + ["--jobs", jobs])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "'--jobs'" in result.stderr and f"{jobs} is not in the range" in result.stderr
+
+
 def fail_in_shard_three(args):
     """Shard worker that raises in shard 3; module level, since the pool
     pickles it."""

@@ -424,21 +424,20 @@ def test_determinism():
 
 
 def test_filter_validation():
+    """An invalid filter or partition cannot be built."""
     with pytest.raises(ValueError):
-        EnumFilter(order=0).validate()
+        EnumFilter(order=0)
+    with pytest.raises(ValueError, match="outside the supported range"):
+        EnumFilter(order=MAX_ORDER + 1)
     with pytest.raises(ValueError):
-        EnumFilter(order=MAX_ORDER + 1).validate()
-    with pytest.raises(ValueError):
-        EnumFilter(order=5, size_range=(4, 20)).validate()
-    with pytest.raises(ValueError):
-        EnumFilter(order=5, size_range=(6, 5)).validate()
+        EnumFilter(order=5, size_range=(4, 20))
+    with pytest.raises(ValueError, match=r"bad size_range \(6, 5\)"):
+        EnumFilter(order=5, size_range=(6, 5))
     with pytest.raises(ValueError, match="outside 0..3"):
-        EnumPartition(total_shards=4, shard_index=4).validate()
+        EnumPartition(total_shards=4, shard_index=4)
     for total in (0, -2):
         with pytest.raises(ValueError, match="shard count must be positive"):
-            EnumPartition(total_shards=total, shard_index=0).validate()
-    with pytest.raises(ValueError):
-        next(enumerate_graphs(EnumFilter(order=13)))
+            EnumPartition(total_shards=total, shard_index=0)
 
 
 def test_extremal_scan_max():
