@@ -14,7 +14,8 @@ jumps back to the deepest common ancestor of the two leaves, and two
 target-cell vertices in one orbit of the stabilizer of the individualized
 prefix head isomorphic subtrees, so only the first is explored.  A node
 whose cells each hold twins is not searched at all: its first leaf stands
-for every leaf below it.
+for every leaf below it, and a root partition that is discrete or holds
+only twins returns that leaf before the search is set up.
 
 The low-level entry point :func:`canon_rows` works on bitmask adjacency rows
 and is what the isomorph-free generator calls in its hot loop;
@@ -173,6 +174,38 @@ def _common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
     return i
 
 
+def _all_twins(rows: Sequence[int], cells: list[int]) -> bool:
+    """True when every cell holds twins: vertices whose neighborhoods agree
+    outside the pair of them.  A discrete partition has no cell to test."""
+    for c in cells:
+        if c & (c - 1):
+            low = c & -c
+            r = rows[low.bit_length() - 1]
+            rest = c ^ low
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                if (rows[b.bit_length() - 1] ^ r) & ~(b | low):
+                    return False
+    return True
+
+
+def _twin_leaf(n: int, cells: list[int]) -> tuple[list[int], list[Perm]]:
+    """The first leaf below a partition whose cells each hold twins, each
+    cell in ascending order, and the adjacent transpositions of each cell,
+    which generate the automorphisms that permute the cells' twins."""
+    pos = [v for c in cells for v in _bits(c)]
+    swaps: list[Perm] = []
+    for c in cells:
+        if c & (c - 1):
+            members = list(_bits(c))
+            for a, b in zip(members, members[1:]):
+                swap = list(range(n))
+                swap[a], swap[b] = b, a
+                swaps.append(tuple(swap))
+    return pos, swaps
+
+
 def _search(
     n: int, rows: Sequence[int], cells0: list[int]
 ) -> tuple[list[int], list[Perm]]:
@@ -195,14 +228,13 @@ def _search(
     partition once, on first need, and folds in each generator found
     afterwards.
 
-    A node whose every cell holds twins (vertices whose neighborhoods agree
-    outside the pair of them) is not searched: permuting a cell of twins
-    is an automorphism, so all leaves below it share one bitstring.  Its
-    first leaf, each cell in ascending order, is visited, and the adjacent
-    transpositions of each cell are added as generators.  In an equitable
-    partition a cell that is a pair and has only single-vertex cells beside
-    it always holds twins; a discrete partition, a leaf, is the case with no
-    pair at all.
+    A node whose every cell holds twins (:func:`_all_twins`) is not
+    searched: permuting a cell of twins is an automorphism, so all leaves
+    below it share one bitstring.  Its first leaf is visited and the
+    transpositions of :func:`_twin_leaf` are added as generators.  In an
+    equitable partition a cell that is a pair and has only single-vertex
+    cells beside it always holds twins; a discrete partition, a leaf, is
+    the case with no pair at all.
     """
     best_bits: Optional[int] = None
     best_pos: list[int] = []
@@ -243,37 +275,21 @@ def _search(
         """Searches below node ``fixed``; returns the depth of the node at
         which the search resumes."""
         depth = len(fixed)
+        if _all_twins(rows, cells):
+            pos, swaps = _twin_leaf(n, cells)
+            resume = leaf(pos, fixed)
+            if resume == depth:  # no backjump: the twins' swaps are automorphisms
+                for swap in swaps:
+                    add_generator(swap)
+            return resume
         target = -1
         tsize = n + 1
-        twins = True
         for idx, c in enumerate(cells):
             if c & (c - 1):
                 size = c.bit_count()
                 if size < tsize:
                     target = idx
                     tsize = size
-                if twins:
-                    low = c & -c
-                    r = rows[low.bit_length() - 1]
-                    rest = c ^ low
-                    while rest:
-                        b = rest & -rest
-                        rest ^= b
-                        if (rows[b.bit_length() - 1] ^ r) & ~(b | low):
-                            twins = False
-                            break
-        if twins:
-            pos = [v for c in cells for v in _bits(c)]
-            resume = leaf(pos, fixed)
-            if resume < depth or target < 0:
-                return resume
-            for c in cells:
-                members = list(_bits(c))
-                for a, b in zip(members, members[1:]):
-                    swap = list(range(n))
-                    swap[a], swap[b] = b, a
-                    add_generator(swap)
-            return depth
         tcell = cells[target]
         head = cells[:target]
         tail = cells[target + 1 :]
@@ -312,13 +328,17 @@ def canon_rows(
     Returns ``(order, generators)`` where ``order[i]`` is the original vertex
     placed at canonical position ``i``, and the generators generate the
     automorphism group.  ``cells`` is the refined unit partition,
-    ``_refine(rows, [(1 << n) - 1])``, when the caller already has it.
+    ``_refine(rows, [(1 << n) - 1])``, when the caller already has it.  When
+    that partition is discrete or holds only twins, its one leaf and the
+    twins' transpositions are returned without setting up the search.
     """
     if n == 0:
         return (), []
     if cells is None:
         cells = _refine(rows, [(1 << n) - 1])
-    pos, gens = _search(n, rows, cells)
+    # a discrete or twins-only root partition is the search's only leaf
+    pos, gens = (_twin_leaf(n, cells) if _all_twins(rows, cells)
+                 else _search(n, rows, cells))
     return tuple(pos), gens
 
 

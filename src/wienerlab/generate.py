@@ -74,6 +74,7 @@ where starting the pool costs more than the work it shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .canon import Perm, _orbit_roots, _placed, _refine, canon_rows
@@ -364,27 +365,33 @@ def map_shards(worker: Callable[[tuple], list], args: object,
     exceptions pass through unwrapped.  On 2 cores, ``enumerate --n 8``
     took about 0.225 s of wall time with the pool and 0.155 s without.
 
-    In the pool, the first shard that raises, or a worker process that dies
-    (BrokenProcessPool), ends the wait: the shards not yet handed to a
-    worker are cancelled, and a :class:`WorkerError` with a one-line message
-    is raised at once for the lowest failed shard among the finished ones.
-    No partial result is returned.  Running workers cannot be stopped: they
-    still finish the shards already running or queued for them, and the
-    interpreter waits for those at exit.  With two workers, 3 s shards and
-    shard 0 failing at once, the error came after about 0.05 s, and the exit
-    after 6 or 9 s for the three to five shards already handed out.
+    In the pool, at most min(jobs, SHARDS) shards are submitted at a time,
+    and the next shard is submitted as one finishes.  The first shard that
+    raises, or a worker process that dies (BrokenProcessPool), ends the
+    wait: no further shard is submitted, and a :class:`WorkerError` with a
+    one-line message is raised at once for the lowest failed shard among
+    those that finished together.  No partial result is returned.  Running
+    workers cannot be stopped: they still finish the shards already
+    submitted, at most one per worker, and the interpreter waits for those
+    at exit.
     """
     if not jobs or jobs < 2 or order < POOL_MIN_ORDER:
         return worker((args, 1, 0))
     # imported here, not at the top: commands that never fan out stay smaller
-    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     pool = ProcessPoolExecutor(min(jobs, SHARDS))
+    parts: list = [None] * SHARDS
+    todo = iter(range(SHARDS))
     try:
-        futures = [pool.submit(worker, (args, SHARDS, i)) for i in range(SHARDS)]
-        done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-        # all shards are done unless one failed; the lowest failed one raises
-        parts = [f.result() for f in futures if f in done]
+        running = {pool.submit(worker, (args, SHARDS, i)): i
+                   for i in islice(todo, min(jobs, SHARDS))}
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for f in sorted(done, key=running.__getitem__):
+                parts[running.pop(f)] = f.result()  # the lowest failed shard raises
+                for i in islice(todo, 1):  # the next shard, if any is left
+                    running[pool.submit(worker, (args, SHARDS, i))] = i
     except Exception as exc:
         detail = " ".join(str(exc).split())
         raise WorkerError(

@@ -80,9 +80,15 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Image of ``g`` under the vertex relabeling ``v -> perm[v]``."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm is not a permutation of the vertex set")
+    image = [1 << p for p in perm]
     rows = [0] * g.n
     for u, row in enumerate(g.rows):
-        rows[perm[u]] = sum(1 << perm[v] for v in _bits(row))
+        mapped = 0
+        while row:
+            b = row & -row
+            row ^= b
+            mapped |= image[b.bit_length() - 1]
+        rows[perm[u]] = mapped
     return Graph(g.n, tuple(rows))
 
 

@@ -17,8 +17,8 @@ envelope rather than truncating silently, times the body and builds the
 report.  The envelopes: full Eulerian enumeration up to order 10,
 unrestricted enumeration up to order 8, glued-cycle BFS up to order 300,
 triangle placements up to order 64.  C1, T3a-c and P2 scan
-census_columns(n), one cached pass over the connected census, and decode
-again only the first class that fails.
+census_columns(n), built in one cached pass with the connected census from
+the rows the enumerator yields; only a class that fails is decoded.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from itertools import combinations
+from operator import sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .canon import canonical_form
@@ -52,6 +53,7 @@ from .formulas import (
 )
 from .generate import EnumFilter, EnumPartition, enumerate_graphs, map_shards
 from .graphs import (
+    Graph,
     _balls,
     _bridges,
     _cut_mask,
@@ -205,16 +207,10 @@ def eulerian_census(n: int, jobs: Optional[int] = None) -> tuple[tuple[int, int,
 
 
 def connected_census(n: int) -> tuple[str, ...]:
-    """Canonical graph6 of every connected graph of order n (no parity filter)."""
-    if n in _connected_cache:
-        return _connected_cache[n]
-    if not 1 <= n <= GENERAL_ENVELOPE:
-        raise ValueError(f"census supported for 1 <= n <= {GENERAL_ENVELOPE}")
-    filt = EnumFilter(order=n, require_even_degrees=False)
-    frozen = tuple(sorted(graph6_encode(g) for g in enumerate_graphs(filt)))
-    _check_count("A001349", A001349, n, len(frozen))
-    _connected_cache[n] = frozen
-    return frozen
+    """Sorted canonical graph6 of every connected graph of order n."""
+    if n not in _connected_cache:
+        _connected_pass(n)
+    return _connected_cache[n]
 
 
 class CensusColumns(NamedTuple):
@@ -230,30 +226,57 @@ class CensusColumns(NamedTuple):
 
 
 def census_columns(n: int) -> CensusColumns:
-    """One cached pass over connected_census(n): each class is decoded once,
-    gets one cut-vertex test per vertex, a bridge test only when it has a cut
-    vertex or fewer than 3 vertices, and one run of the all-sources ball
-    kernel."""
-    if n in _columns_cache:
-        return _columns_cache[n]
+    """The columns of connected_census(n), built by the census pass."""
+    if n not in _columns_cache:
+        _connected_pass(n)
+    return _columns_cache[n]
+
+
+def _invariants(g: Graph) -> tuple[int, ...]:
+    """The CensusColumns values of one class, from one cut-vertex mask and
+    one run of the all-sources ball kernel.  The pair sum sigma({u, w}) is
+    at most min(sigma(u), sigma(w)) - 1, since u adds d(u, w) to sigma(w)
+    only; pairs are visited by that bound until it cannot beat the best."""
+    n = g.n
+    cuts = _cut_mask(g.rows)
+    levels = list(_balls(g))[:-1]  # the last level is full: it adds nothing
+    full = n * len(levels)
+    sums = [full] * n  # sigma(s) = sum over the levels d of n - |B_d[s]|
+    for level in levels:
+        sums = list(map(sub, sums, map(int.bit_count, level)))
+    biconnected = n >= 3 and not cuts
+    # a 2-connected graph is bridgeless
+    bridgeless = biconnected or not _bridges(g.rows, cuts)
+    pair = 0
+    if biconnected:
+        by_sum = sorted(range(n), key=sums.__getitem__, reverse=True)
+        for j, w in enumerate(by_sum):
+            if sums[w] - 1 <= pair:
+                break
+            for u in by_sum[:j]:
+                pair = max(pair, full - sum((lv[u] | lv[w]).bit_count() for lv in levels))
+    return (g.m, sum(sums) // 2, len(levels), max(sums), pair, biconnected,
+            bridgeless)
+
+
+def _connected_pass(n: int) -> None:
+    """Fill _connected_cache[n] and _columns_cache[n] from one enumeration:
+    the columns are filled in emission order and permuted once into the
+    sorted-graph6 order of the census.  Nothing is cached when the class
+    count disagrees with OEIS."""
+    if not 1 <= n <= GENERAL_ENVELOPE:
+        raise ValueError(f"census supported for 1 <= n <= {GENERAL_ENVELOPE}")
+    codes: list[str] = []
     cols = CensusColumns(*(array("H") for _ in CensusColumns._fields))
-    for g6 in connected_census(n):
-        g = graph6_decode(g6)
-        cuts = _cut_mask(g.rows)
-        levels = list(_balls(g))[:-1]  # the last level is full: it adds nothing
-        sums = [sum(n - lv[s].bit_count() for lv in levels) for s in range(n)]
-        biconnected = n >= 3 and not cuts
-        # a 2-connected graph is bridgeless
-        bridgeless = biconnected or not _bridges(g.rows, cuts)
-        # sigma_set(g, {u, w}) = sum over d of n - |B_d[u] | B_d[w]|
-        pair = max(sum(n - (lv[u] | lv[w]).bit_count() for lv in levels)
-                   for u, w in combinations(range(n), 2)) if biconnected else 0
-        values = (g.m, sum(sums) // 2, len(levels), max(sums), pair,
-                  biconnected, bridgeless)
-        for col, value in zip(cols, values):
+    for g in enumerate_graphs(EnumFilter(order=n, require_even_degrees=False)):
+        codes.append(graph6_encode(g))
+        for col, value in zip(cols, _invariants(g)):
             col.append(value)
-    _columns_cache[n] = cols
-    return cols
+    _check_count("A001349", A001349, n, len(codes))
+    order = sorted(range(len(codes)), key=codes.__getitem__)
+    _connected_cache[n] = tuple(map(codes.__getitem__, order))
+    _columns_cache[n] = CensusColumns(
+        *(array("H", map(col.__getitem__, order)) for col in cols))
 
 
 def _first_above(col: array, cap: int, flags: array) -> Optional[int]:

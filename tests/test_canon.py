@@ -434,6 +434,52 @@ def test_canon_rows_matches_the_reference_search_on_relabeled_symmetric_graphs(
     check_against_reference(relabel(g, perm), group_order)
 
 
+def star(leaves):
+    return build_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def rigid_random_graphs(count, seed=53):
+    """Random graphs of order 6..10 whose refined unit partition is discrete."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        g = random_graph(rng, rng.randint(6, 10))
+        if len(canon._refine(g.rows, [(1 << g.n) - 1])) == g.n:
+            found.append(g)
+    return found
+
+
+# (graph, whether its refined unit partition is discrete or holds only twins)
+ROOT_DECIDED = (
+    [(complete(n), True) for n in range(1, 8)]
+    + [(complete_bipartite(a, b), a != b or a == 1)
+       for a in range(1, 5) for b in range(a, 6)]
+    + [(star(k), True) for k in range(1, 8)]
+    + [(cocktail_party(n), False) for n in (4, 6, 8)]
+    + [(g, True) for g in rigid_random_graphs(12)]
+)
+
+
+@pytest.mark.parametrize("index", range(len(ROOT_DECIDED)))
+def test_root_partition_fast_paths_match_the_reference_search(
+        monkeypatch, group_order, index):
+    """A discrete or twins-only root partition returns before the search,
+    under a random relabeling too, with the reference search's positions,
+    orbits and group order.  K_{a,a} for a >= 2 and cocktail party graphs
+    have one cell that is not all twins, so they go to the search."""
+    g, decided = ROOT_DECIDED[index]
+    cells = canon._refine(g.rows, [(1 << g.n) - 1])
+    assert canon._all_twins(g.rows, cells) == decided
+    if decided:
+        def no_search(*args):
+            raise AssertionError("the root partition decides; no search")
+        monkeypatch.setattr(canon, "_search", no_search)
+    perm = list(range(g.n))
+    random.Random(index).shuffle(perm)
+    for h in (g, relabel(g, perm)):
+        check_against_reference(h, group_order)
+
+
 @pytest.mark.parametrize("graph,most", [
     (petersen(), 4), (hypercube(4), 4), (cycle(9), 2), (cocktail_party(8), 7),
 ] + [(complete(n), n - 1) for n in (2, 5, 8)])

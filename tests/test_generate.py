@@ -2,6 +2,7 @@
 import functools
 import hashlib
 import math
+import multiprocessing
 import os
 import random
 import signal
@@ -20,6 +21,7 @@ from wienerlab.generate import (
     EnumFilter,
     EnumPartition,
     MAX_ORDER,
+    SHARDS,
     WorkerError,
     count_graphs,
     enumerate_graphs,
@@ -492,24 +494,44 @@ def test_map_shards_reports_a_failed_worker_on_one_line():
 
 
 def fail_at_once_in_shard_zero(args):
-    """Shard worker that raises at once in shard 0 and sleeps 3 s in every
-    other shard; module level, since the pool pickles it."""
-    _, _, index = args
+    """Shard worker that first writes a start marker named by its shard into
+    the directory ``args``, then raises at once in shard 0 and sleeps 3 s in
+    every other shard; module level, since the pool pickles it."""
+    marks, _, index = args
+    open(os.path.join(marks, str(index)), "w").close()
     if index == 0:
         raise ArithmeticError("shard 0 broke")
     time.sleep(3)
     return [index]
 
 
-def test_map_shards_raises_without_waiting_for_the_slow_shards(alarm):
+def test_map_shards_raises_without_waiting_for_the_slow_shards(alarm, tmp_path):
     """The error does not wait for the shards already handed to the two
-    workers, which takes 6 to 9 s."""
+    workers, and no shard is handed out after it: besides shard 0, at most
+    one shard per worker ever starts.  Handing out all eight shards at once
+    started three to five more, and the process exit waited 6 to 9 s."""
     t0 = time.perf_counter()
     with pytest.raises(WorkerError) as info:
-        map_shards(fail_at_once_in_shard_zero, None, 2, 9)
+        map_shards(fail_at_once_in_shard_zero, str(tmp_path), 2, 9)
     elapsed = time.perf_counter() - t0
     assert str(info.value) == "shard worker failed: ArithmeticError: shard 0 broke"
     assert elapsed < 4.5, f"the error took {elapsed:.2f} s"
+    while multiprocessing.active_children():  # the workers finish what they hold
+        time.sleep(0.1)
+    started = sorted(int(p.name) for p in tmp_path.iterdir())
+    assert started[0] == 0 and len(started) - 1 <= 2, started
+
+
+def finish_in_reverse(args):
+    """Shard worker whose later shards finish first; module level."""
+    _, _, index = args
+    time.sleep((SHARDS - index) * 0.05)
+    return [index, index]
+
+
+def test_map_shards_keeps_shard_order_when_shards_finish_out_of_order(alarm):
+    assert map_shards(finish_in_reverse, None, 3, 9) == [
+        i for i in range(SHARDS) for _ in range(2)]
 
 
 TEST_PID = os.getpid()

@@ -93,6 +93,25 @@ def test_rows_over_several_limbs_against_networkx():
     assert relabel(g, perm).edges() == sorted(tuple(sorted(e)) for e in moved.edges())
 
 
+@given(graphs_st(max_n=12).flatmap(
+    lambda g: st.tuples(st.just(g), st.permutations(range(g.n)))))
+def test_relabel_matches_the_per_edge_sum(graph):
+    """The row table of relabel against the former formula: row perm[u] is
+    the sum of 1 << perm[v] over the neighbours v of u."""
+    g, perm = graph
+    rows = [0] * g.n
+    for u, row in enumerate(g.rows):
+        rows[perm[u]] = sum(1 << perm[v] for v in range(g.n) if row >> v & 1)
+    assert relabel(g, perm).rows == tuple(rows)
+
+
+def test_relabel_rejects_a_non_permutation():
+    g = cycle(4)
+    for perm in ([0, 1, 2], [0, 1, 2, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="perm is not a permutation of the vertex set"):
+            relabel(g, perm)
+
+
 def test_relabel_roundtrip():
     g = vertex_glued_cycles(8, 3)
     perm = [3, 1, 4, 0, 5, 2, 7, 6]

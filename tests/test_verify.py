@@ -455,10 +455,27 @@ def test_census_missing_a_class_raises_and_caches_nothing(monkeypatch, census, c
         yield from stream
 
     monkeypatch.setattr(verify, cache, {})
+    monkeypatch.setattr(verify, "_columns_cache", {})
     monkeypatch.setattr(verify, "enumerate_graphs", dropping_first)
     with pytest.raises(RuntimeError, match="OEIS"):
         census(n)
     assert getattr(verify, cache) == {}
+    assert verify._columns_cache == {}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cold_columns_equal_the_columns_of_a_cold_census(monkeypatch, n):
+    """census_columns(n) built cold, and built by a cold connected_census(n),
+    give equal columns and the same census."""
+    monkeypatch.setattr(verify, "_connected_cache", {})
+    monkeypatch.setattr(verify, "_columns_cache", {})
+    cold = census_columns(n)
+    census = connected_census(n)
+    monkeypatch.setattr(verify, "_connected_cache", {})
+    monkeypatch.setattr(verify, "_columns_cache", {})
+    assert connected_census(n) == census
+    assert verify._columns_cache[n] == cold
+    assert census_columns(n) == cold
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -646,6 +663,30 @@ PINNED_DIGESTS = {
     "FIG1": "5f12ad55ad9fa54e3383a95ee68933832a25d8af87fdd57c0fcaaa0cd48dc80d",
     "GAP": "c69b569eb39c15a18d563ef9534accddafaf6c974512d3474ceae6ab555086ef",
 }
+
+
+# sha256 of the order-8 census columns, each array's bytes in census order,
+# and of the whole order-8 report of each distance-sum claim, as
+# _pinned_outcome gives it; computed before the census and its columns were
+# built in one pass
+ORDER_EIGHT_COLUMNS_SHA256 = "6ac2721a42e7e2e98c381caa7e1454624cc364bf86db730114cc3b56cebe468f"
+ORDER_EIGHT_DIGESTS = {
+    "C1": "f8efff46d371c125929571e503eb1cfca85bb150ef448902a227a3a476d2cb60",
+    "T3a": "49a1a40e42abd87455489da78b45bca22e5d04c85f43a8156c911c0217a2cceb",
+    "T3b": "2adb54accc4e366fd9266493f51204eca47a936c5be5671398058948712fcf77",
+    "T3c": "0d12f37a640040ce817d075a04faccf3765aa7fbccab66e254ec0a64d36f739a",
+    "P2": "b8947819d6265caf6090761212fa2791b69c7c496c94572d4ff9b64a920ccaca",
+}
+
+
+def test_order_eight_columns_and_reports_match_their_pinned_digests():
+    h = hashlib.sha256()
+    for col in census_columns(8):
+        h.update(col.tobytes())
+    assert h.hexdigest() == ORDER_EIGHT_COLUMNS_SHA256
+    digests = {claim: hashlib.sha256(repr(_pinned_outcome(claim, {"n": 8})).encode())
+               .hexdigest() for claim in ORDER_EIGHT_DIGESTS}
+    assert digests == ORDER_EIGHT_DIGESTS
 
 
 def _pinned_outcome(claim, kwargs):
