@@ -36,13 +36,15 @@ against |S| for the new vertex.  Per parent, _noncut_above reads one
 _cut_mask into above[t], the non-cut vertices of degree > t, and S is
 skipped when above[|S|] has a vertex outside S or, for |S| >= 2,
 above[|S| - 1] has one inside S.  Each skipped child would fail the key
-test, so the accepted set is unchanged.  At order 9 the key tests fall from
-55,362 to 14,944 and the orbit tests from 71,857 to 14,823.
+test, so the accepted set is unchanged.
 
-The search tree ranges over connected graphs.  When all degrees must end
-up even, the last vertex's neighborhood is forced to be exactly the set of
-odd-degree vertices, and a size ceiling prunes subtrees whose edge budget is
-already exhausted; the size filter itself is the only test at emission.
+The search tree ranges over connected graphs.  Each node passes its edge
+count m and its odd-degree bitmask odd down: the child that joins the new
+vertex k to S has m + |S| edges and the odd mask odd ^ S, plus k when |S|
+is odd.  When all degrees must end up even, the last vertex's neighborhood
+is forced to be exactly that mask.  One ceiling per node caps |S| at what
+the filter's upper bound leaves after the fewest edges the vertices still
+to come can add, so emission tests only the lower bound.
 
 A node of order n - 1 then has one possible child, so it is worth labeling
 only when that child survives the key test.  Two checks at the level that
@@ -52,15 +54,15 @@ never a cut vertex of the forced child: an odd set has even size, so the
 forced vertex keeps a neighbor in the connected parent when u is removed.
 A candidate neighborhood S is therefore skipped, before its orbit test,
 when u's final degree |S| + (|S| mod 2) exceeds the forced vertex's
-|odd(parent) ^ S| + (|S| mod 2).  A child that passes its own key test is
-then looked ahead: its forced child is built, and the node is dropped when
-no degree is odd, or the forced child exceeds the size ceiling or fails the key test.
+|odd ^ S| + (|S| mod 2); a child that passes this test has an odd vertex.
+A child that passes its own key test is then looked ahead: its forced child
+is built, and the node is dropped when the forced child has more edges than
+the filter allows or fails the key test.
 A node that is kept has no level of its own: its forced child, already built
 and key-tested, is canonized and emitted right there.  The node's own
 labeling then serves only its orbit test, so a node is not canonized at
 all when u has no rival or when the root partition settles the test.  At
-order 9, 3,712 of the 82,233 candidate children reach the labeler (4,870
-when every node with a rival is labeled).
+order 9, 3,712 of the 82,233 candidate children reach the labeler.
 
 Shards split the tree round-robin over the nodes of order max(2, n - 2)
 below n = 8 and min(n - 3, 6) from n = 8 on; every shard rebuilds the levels
@@ -126,14 +128,6 @@ class EnumPartition:
             )
 
 
-def _odd_mask(rows: Sequence[int]) -> int:
-    mask = 0
-    for v, row in enumerate(rows):
-        if row.bit_count() & 1:
-            mask |= 1 << v
-    return mask
-
-
 def _attach(rows: Sequence[int], s: int) -> list[int]:
     """``rows`` plus a new last vertex joined to the vertices of bitmask s."""
     k = len(rows)
@@ -158,8 +152,8 @@ def _neighbor_degrees(row: int, deg: Sequence[int]) -> list[int]:
     return sorted(deg[v] for v in _bits(row))
 
 
-def _key_rivals(n: int, rows: Sequence[int]) -> Optional[int]:
-    """Pre-canon test of the new vertex n - 1 of a connected child.
+def _key_rivals(rows: Sequence[int]) -> Optional[int]:
+    """Pre-canon test of the new (last) vertex of a connected child.
 
     The key of a vertex is its degree, then the sorted degrees of its
     neighbors.  Returns None when some non-cut vertex has a larger key than
@@ -168,6 +162,7 @@ def _key_rivals(n: int, rows: Sequence[int]) -> Optional[int]:
     equals the new vertex's.  The new vertex itself is never a cut vertex:
     removing it leaves the connected parent.
     """
+    n = len(rows)
     k = n - 1
     deg = [r.bit_count() for r in rows]
     dk = deg[k]
@@ -216,15 +211,6 @@ def _is_min_in_orbit(s: int, perms: Sequence[Perm]) -> bool:
     return True
 
 
-def _emit(n: int, rows: list[int], pos: Perm, filt: EnumFilter) -> Optional[Graph]:
-    """Apply the size filter; return the canonically relabeled graph or None."""
-    if filt.size_range is not None:
-        m = sum(r.bit_count() for r in rows) // 2
-        if not filt.size_range[0] <= m <= filt.size_range[1]:
-            return None
-    return _placed(from_adjacency_masks(n, rows), pos)
-
-
 def _accept(
     rows: list[int], rivals: int, label: bool = True
 ) -> Optional[tuple[Perm, list[Perm]] | tuple[()]]:
@@ -270,36 +256,36 @@ def enumerate_graphs(
     part = partition or EnumPartition()
     n = filt.order
     even = filt.require_even_degrees
-    m_hi = filt.size_range[1] if filt.size_range is not None else None
 
-    if n == 1:
+    if n == 1:  # its size range can only be (0, 0)
         if part.shard_index == 0:
-            g = _emit(1, [0], (0,), filt)
-            if g is not None:
-                yield g
+            yield Graph(1, (0,))
         return
     if n == 2 and even:
         return
 
+    m_lo, m_hi = filt.size_range or (0, n * (n - 1) // 2)
     split = max(2, n - 2) if n < 8 else min(n - 3, 6)
     counter = 0
 
-    def rec(rows: list[int], k: int, m: int, parent_gens: list[Perm]) -> Iterator[Graph]:
+    def rec(rows: list[int], k: int, m: int, odd: int,
+            parent_gens: list[Perm]) -> Iterator[Graph]:
+        """The subtree below a node of order k, size m and odd mask odd."""
         nonlocal counter
         last = k + 1 == n
         # each child of this node has exactly one (forced) child
         penult = even and k + 2 == n
-        odd_q = _odd_mask(rows) if penult else 0
-        remaining = n - k - 1
-        future_min = 0 if remaining == 0 else remaining + (1 if even else 0)
+        # the most edges s can add: each vertex still to come adds at least
+        # one edge, and the last one two when degrees end even
+        ceiling = m_hi - m - (0 if last else n - k - 1 + even)
         above = _noncut_above(rows)
         for s in range(1, 1 << k):
             t = s.bit_count()
-            if m_hi is not None and m + t + future_min > m_hi:
+            if t > ceiling:
                 continue
             # the new vertex k ends with degree |s| rounded up to even, the
-            # forced vertex with |odd(rows) ^ s| plus that same rounding
-            if penult and t > (odd_q ^ s).bit_count():
+            # forced vertex with |odd ^ s| plus that same rounding
+            if penult and t > (odd ^ s).bit_count():
                 continue
             # a non-cut vertex of the parent that outranks the new vertex by
             # degree alone: the key test would reject this child
@@ -308,15 +294,17 @@ def enumerate_graphs(
             if parent_gens and not _is_min_in_orbit(s, parent_gens):
                 continue
             child = _attach(rows, s)
-            rivals = _key_rivals(k + 1, child)
+            rivals = _key_rivals(child)
             if rivals is None:
                 continue
-            if penult:
-                odd = _odd_mask(child)
-                if not odd or m_hi is not None and m + t + odd.bit_count() > m_hi:
+            child_odd = odd ^ s | (t & 1) << k
+            size = m + t
+            if penult:  # the popcount test left child_odd nonempty
+                size += child_odd.bit_count()
+                if size > m_hi:
                     continue
-                forced = _attach(child, odd)
-                forced_rivals = _key_rivals(n, forced)
+                forced = _attach(child, child_odd)
+                forced_rivals = _key_rivals(forced)
                 if forced_rivals is None:
                     continue
             # nothing reads the labeling of a penultimate node: its forced
@@ -334,13 +322,12 @@ def enumerate_graphs(
                 if accepted is None:
                     continue
             if last or penult:
-                g = _emit(n, child, accepted[0], filt)
-                if g is not None:
-                    yield g
+                if size >= m_lo:  # the size tests above kept size <= m_hi
+                    yield _placed(from_adjacency_masks(n, child), accepted[0])
             else:
-                yield from rec(child, k + 1, m + t, accepted[1])
+                yield from rec(child, k + 1, size, child_odd, accepted[1])
 
-    yield from rec([0], 1, 0, [])
+    yield from rec([0], 1, 0, 0, [])
 
 
 def count_graphs(

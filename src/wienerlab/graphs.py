@@ -270,8 +270,8 @@ def bridges(g: Graph) -> list[Edge]:
 
 
 def is_two_edge_connected(g: Graph) -> bool:
-    """Connected and bridgeless.  K_1 counts as 2-edge-connected."""
-    return g.n == 1 or is_connected(g) and not bridges(g)
+    """Connected and bridgeless, so K_1 counts as 2-edge-connected."""
+    return is_connected(g) and not bridges(g)
 
 
 def is_two_connected(g: Graph) -> bool:

@@ -163,8 +163,7 @@ def _range_claim(claim_id: str, default: Optional[tuple[int, int]] = None):
 
 
 _eulerian_cache: dict[int, tuple[tuple[int, int, str], ...]] = {}
-_connected_cache: dict[int, tuple[str, ...]] = {}
-_columns_cache: dict[int, "CensusColumns"] = {}
+_connected_cache: dict[int, tuple[tuple[str, ...], CensusColumns]] = {}
 
 # class counts by order: OEIS A003049 (connected Eulerian), A001349 (connected)
 A003049 = {3: 1, 4: 1, 5: 4, 6: 8, 7: 37, 8: 184, 9: 1782, 10: 31026}
@@ -208,9 +207,7 @@ def eulerian_census(n: int, jobs: Optional[int] = None) -> tuple[tuple[int, int,
 
 def connected_census(n: int) -> tuple[str, ...]:
     """Sorted canonical graph6 of every connected graph of order n."""
-    if n not in _connected_cache:
-        _connected_pass(n)
-    return _connected_cache[n]
+    return _connected_pass(n)[0]
 
 
 class CensusColumns(NamedTuple):
@@ -227,9 +224,7 @@ class CensusColumns(NamedTuple):
 
 def census_columns(n: int) -> CensusColumns:
     """The columns of connected_census(n), built by the census pass."""
-    if n not in _columns_cache:
-        _connected_pass(n)
-    return _columns_cache[n]
+    return _connected_pass(n)[1]
 
 
 def _invariants(g: Graph) -> tuple[int, ...]:
@@ -259,11 +254,13 @@ def _invariants(g: Graph) -> tuple[int, ...]:
             bridgeless)
 
 
-def _connected_pass(n: int) -> None:
-    """Fill _connected_cache[n] and _columns_cache[n] from one enumeration:
-    the columns are filled in emission order and permuted once into the
-    sorted-graph6 order of the census.  Nothing is cached when the class
-    count disagrees with OEIS."""
+def _connected_pass(n: int) -> tuple[tuple[str, ...], CensusColumns]:
+    """The census of order n and its columns, from one enumeration cached as
+    _connected_cache[n]: the columns are filled in emission order and
+    permuted once into the sorted-graph6 order of the census.  Nothing is
+    cached when the class count disagrees with OEIS."""
+    if n in _connected_cache:
+        return _connected_cache[n]
     if not 1 <= n <= GENERAL_ENVELOPE:
         raise ValueError(f"census supported for 1 <= n <= {GENERAL_ENVELOPE}")
     codes: list[str] = []
@@ -274,9 +271,10 @@ def _connected_pass(n: int) -> None:
             col.append(value)
     _check_count("A001349", A001349, n, len(codes))
     order = sorted(range(len(codes)), key=codes.__getitem__)
-    _connected_cache[n] = tuple(map(codes.__getitem__, order))
-    _columns_cache[n] = CensusColumns(
-        *(array("H", map(col.__getitem__, order)) for col in cols))
+    _connected_cache[n] = (
+        tuple(map(codes.__getitem__, order)),
+        CensusColumns(*(array("H", map(col.__getitem__, order)) for col in cols)))
+    return _connected_cache[n]
 
 
 def _first_above(col: array, cap: int, flags: array) -> Optional[int]:

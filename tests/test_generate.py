@@ -202,6 +202,43 @@ def test_census_contents_are_pinned(kind, n, count):
     assert census_digest(filt, shards(8)) == (count, CENSUS_SHA256[kind, n])
 
 
+# per-shard class counts over 8 shards, and the sha256 of the lines
+# "<shard> <graph6>\n" in shard order and, within a shard, in emission order
+SHARD_EMISSION = {
+    (True, 7, None): ((5, 5, 1, 5, 4, 5, 3, 9),
+        "65b0fd43af1a25bd02cf09ef3e554bbd0d23886b00fa02ea63ad3ad65d3f1941"),
+    (True, 8, None): ((21, 18, 3, 3, 1, 46, 5, 87),
+        "e4dcb0f7d87f4310aab832e4631b4d85f78ab193d3f89937b1df3075325b2385"),
+    (True, 9, None): ((67, 171, 113, 399, 159, 167, 285, 421),
+        "dd5f5e82ebf52a3b98489e8feb5f1b3eedfb8fa2b5054c61904d259b101b12bb"),
+    (False, 7, None): ((109, 108, 15, 43, 20, 212, 33, 313),
+        "acd2170da6621174f4a04283ead393fcc966385782534bb7153311f0098bc2ce"),
+    (False, 8, None): ((812, 603, 33, 260, 83, 2773, 189, 6364),
+        "56bb261c300b93af0f1d721ab38533365b227c26d6f9479a33254921b5109143"),
+    (True, 9, (10, 10)): ((0, 0, 0, 0, 0, 0, 3, 0),
+        "0df07aa05d64c7cc21e8632a3e9b7a050e000b033238da67b881170a6fad008f"),
+    (True, 9, (12, 12)): ((0, 2, 2, 16, 1, 1, 4, 6),
+        "9a0a90050d5051576c612b0afed8649ee54436369eca57abfe89f988b048c493"),
+    (True, 9, (14, 14)): ((43, 0, 0, 15, 26, 2, 0, 1),
+        "1310da0b81852cbc280fc83cec5ed48483d2e70e51b1d829dbb4dbaf428dd105"),
+    (False, 7, (9, 10)): ((21, 7, 0, 0, 0, 84, 5, 122),
+        "c0dba1ea3046297fae6f85cd641aaf337559d590a06b247712e6f72750f322e5"),
+}
+
+
+@pytest.mark.parametrize("even,n,size_range", sorted(SHARD_EMISSION, key=str))
+def test_each_shard_emits_its_pinned_classes_in_pinned_order(even, n, size_range):
+    """Which shard emits a class, and in what order, follows from the tree
+    walk alone; the sorted union tests above would not see it move."""
+    filt = EnumFilter(order=n, require_even_degrees=even, size_range=size_range)
+    counts, h = [], hashlib.sha256()
+    for i, part in enumerate(shards(8)):
+        lines = [graph6_encode(g) for g in enumerate_graphs(filt, part)]
+        counts.append(len(lines))
+        h.update("".join(f"{i} {g6}\n" for g6 in lines).encode())
+    assert (tuple(counts), h.hexdigest()) == SHARD_EMISSION[even, n, size_range]
+
+
 def test_order_eight_canon_calls_unsharded_and_over_shards(canon_calls):
     """Pre-canon rejection keeps the labeler off most children, a node of
     order n - 1 is not labeled when it has no rival or the root partition
@@ -282,7 +319,7 @@ def test_degree_prefilter_rejects_only_key_test_losers(rows):
     for s in range(1, 1 << k):
         t = s.bit_count()
         if above[t] & ~s or t > 1 and above[t - 1] & s:
-            assert generate._key_rivals(k + 1, generate._attach(rows, s)) is None
+            assert generate._key_rivals(generate._attach(rows, s)) is None
 
 
 def labeler_orbit_test(child, rivals):
@@ -317,7 +354,7 @@ def rival_children(rows):
     k = len(rows)
     for s in range(1, 1 << k):
         child = generate._attach(rows, s)
-        rivals = generate._key_rivals(k + 1, child)
+        rivals = generate._key_rivals(child)
         if rivals:
             yield child, rivals
 

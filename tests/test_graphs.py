@@ -326,6 +326,16 @@ def test_two_connectivity_small_order_conventions():
     assert not is_two_edge_connected(build_graph(2, [(0, 1)]))
 
 
+@pytest.mark.parametrize("n", range(4))
+def test_two_edge_connected_complete_graphs_up_to_order_three(n):
+    """K_0 is not connected and K_1 is connected without a bridge.  The
+    networkx null graph has no connectivity answer, so n > 0 stands in."""
+    g = build_graph(n, itertools.combinations(range(n), 2))
+    h = to_nx(g)
+    assert is_two_edge_connected(g) == (
+        n > 0 and nx.is_connected(h) and not nx.has_bridges(h))
+
+
 def test_eulerian_means_connected_and_even():
     assert is_eulerian(cycle(5))
     assert not is_eulerian(path(4))

@@ -445,6 +445,7 @@ def test_distance_sum_violations_name_the_first_witness(
 @pytest.mark.parametrize("census,cache,n", [
     (eulerian_census, "_eulerian_cache", 7),
     (connected_census, "_connected_cache", 6),
+    (census_columns, "_connected_cache", 6),
 ])
 def test_census_missing_a_class_raises_and_caches_nothing(monkeypatch, census, cache, n):
     original = verify.enumerate_graphs
@@ -455,12 +456,10 @@ def test_census_missing_a_class_raises_and_caches_nothing(monkeypatch, census, c
         yield from stream
 
     monkeypatch.setattr(verify, cache, {})
-    monkeypatch.setattr(verify, "_columns_cache", {})
     monkeypatch.setattr(verify, "enumerate_graphs", dropping_first)
     with pytest.raises(RuntimeError, match="OEIS"):
         census(n)
     assert getattr(verify, cache) == {}
-    assert verify._columns_cache == {}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -468,13 +467,11 @@ def test_cold_columns_equal_the_columns_of_a_cold_census(monkeypatch, n):
     """census_columns(n) built cold, and built by a cold connected_census(n),
     give equal columns and the same census."""
     monkeypatch.setattr(verify, "_connected_cache", {})
-    monkeypatch.setattr(verify, "_columns_cache", {})
     cold = census_columns(n)
     census = connected_census(n)
     monkeypatch.setattr(verify, "_connected_cache", {})
-    monkeypatch.setattr(verify, "_columns_cache", {})
     assert connected_census(n) == census
-    assert verify._columns_cache[n] == cold
+    assert verify._connected_cache[n] == (census, cold)
     assert census_columns(n) == cold
 
 
