@@ -5,14 +5,17 @@ Cells are bitmasks of vertices.  Refinement splits cells only against the
 cells that just split (the fresh fragments of McKay & Piperno, "Practical
 Graph Isomorphism II", 2014), counting neighbors bit-sliced, a whole cell at
 a time; it yields the same ordered partitions as splitting against every
-cell, see :func:`_refine`.  A leaf of the search tree is a discrete ordered
+cell, see :func:`_refine`.  The search is one loop over an explicit stack
+with one frame per node of the current path, so its depth is not bounded by
+Python's recursion limit.  A leaf of the search tree is a discrete ordered
 partition, read off as a relabeling; the leaf whose relabeled upper-triangle
 adjacency bitstring is lexicographically smallest defines the canonical
 form.  A leaf reproducing the bitstring of the first or the best leaf
-certifies an automorphism.  Discovered automorphisms prune twice: the search
-jumps back to the deepest common ancestor of the two leaves, and two
-target-cell vertices in one orbit of the stabilizer of the individualized
-prefix head isomorphic subtrees, so only the first is explored.  A node
+certifies an automorphism.  Discovered automorphisms prune twice: the stack
+is cut back to the frame of the deepest common ancestor of the two leaves
+(backjumping), and two target-cell vertices in one orbit of the stabilizer
+of the individualized prefix head isomorphic subtrees, so only the first is
+explored.  A node
 whose cells each hold twins is not searched at all: its first leaf stands
 for every leaf below it, and a root partition that is discrete or holds
 only twins returns that leaf before the search is set up.
@@ -207,24 +210,29 @@ def _twin_leaf(n: int, cells: list[int]) -> tuple[list[int], list[Perm]]:
 
 
 def _search(
-    n: int, rows: Sequence[int], cells0: list[int]
+    n: int, rows: Sequence[int], cells: list[int]
 ) -> tuple[list[int], list[Perm]]:
     """Backtracking core.  Returns (canonical position list, generators).
 
     The position list maps canonical position -> original vertex.  A node
-    of the search tree is named by its individualized vertices, ``fixed``.
+    of the search tree is named by its individualized vertices, ``path``,
+    and each node on it has one frame on the stack: the cells beside its
+    target cell, the target cell and its vertices not yet tried, and its
+    orbit partition with the number of generators folded in.  The root
+    partition ``cells`` is neither discrete nor twins-only; :func:`canon_rows`
+    has tested it.
 
     A leaf that reproduces the bitstring of the first leaf or of the best
     leaf certifies an automorphism that fixes the common prefix of the two
     paths and maps the other path's subtree below it onto the current one.
     The rest of the current subtree below that common ancestor is then the
-    image of a subtree already searched, so the search returns there
-    (backjumping).  No smaller leaf is lost, and the leaf kept is the first
-    smallest one in the order of the full tree.
+    image of a subtree already searched, so the stack is cut back to the
+    frame of that ancestor (backjumping).  No smaller leaf is lost, and the
+    leaf kept is the first smallest one in the order of the full tree.
 
     Each node skips a target-cell vertex that is not the smallest vertex of
-    its orbit under the generators found so far that fix ``fixed``; the
-    orbits of the cell lie in the cell.  The node builds that orbit
+    its orbit under the generators found so far that fix ``path``; the
+    orbits of the cell lie in the cell.  The frame builds that orbit
     partition once, on first need, and folds in each generator found
     afterwards.
 
@@ -236,88 +244,66 @@ def _search(
     cells beside it always holds twins; a discrete partition, a leaf, is
     the case with no pair at all.
     """
-    best_bits: Optional[int] = None
-    best_pos: list[int] = []
-    best_path: list[int] = []
-    first_bits: Optional[int] = None
-    first_pos: list[int] = []
-    first_path: list[int] = []
     gens: list[Perm] = []
     gen_seen: set[Perm] = set()
-
-    def add_generator(gamma: list[int]) -> None:
-        t = tuple(gamma)
-        if t not in gen_seen:
-            gen_seen.add(t)
-            gens.append(t)
-
-    def leaf(pos: list[int], path: list[int]) -> int:
-        """Visits the leaf ``pos`` reached by ``path``; returns the depth at
-        which the search resumes."""
-        nonlocal best_bits, best_pos, best_path, first_bits, first_pos, first_path
-        bits = _leaf_bits(n, rows, pos)
-        resume = len(path)
-        for known, known_pos, known_path in ((first_bits, first_pos, first_path),
-                                             (best_bits, best_pos, best_path)):
-            if bits == known:
-                gamma = [0] * n
-                for p, q in zip(pos, known_pos):
-                    gamma[p] = q
-                add_generator(gamma)
-                resume = min(resume, _common_prefix(path, known_path))
-        if first_bits is None:
-            first_bits, first_pos, first_path = bits, pos, path[:]
-        if best_bits is None or bits < best_bits:
-            best_bits, best_pos, best_path = bits, pos, path[:]
-        return resume
-
-    def rec(cells: list[int], fixed: list[int]) -> int:
-        """Searches below node ``fixed``; returns the depth of the node at
-        which the search resumes."""
-        depth = len(fixed)
-        if _all_twins(rows, cells):
+    first = best = None  # (bits, pos, path) of the first and the best leaf
+    frames: list[list] = []  # [head, tail, target cell, untried, orbits, folded]
+    path: list[int] = []
+    while True:
+        if not frames or not _all_twins(rows, cells):
+            sizes = [c.bit_count() if c & (c - 1) else n + 1 for c in cells]
+            target = sizes.index(min(sizes))  # the first smallest nonsingleton
+            tcell = cells[target]
+            frames.append([cells[:target], cells[target + 1 :], tcell, tcell, None, 0])
+        else:
             pos, swaps = _twin_leaf(n, cells)
-            resume = leaf(pos, fixed)
-            if resume == depth:  # no backjump: the twins' swaps are automorphisms
-                for swap in swaps:
-                    add_generator(swap)
-            return resume
-        target = -1
-        tsize = n + 1
-        for idx, c in enumerate(cells):
-            if c & (c - 1):
-                size = c.bit_count()
-                if size < tsize:
-                    target = idx
-                    tsize = size
-        tcell = cells[target]
-        head = cells[:target]
-        tail = cells[target + 1 :]
-        orbits: Optional[list[int]] = None
-        folded = 0
-        rest = tcell
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            v = b.bit_length() - 1
-            if folded < len(gens):
-                if orbits is None:
-                    orbits = list(range(n))
-                for g in gens[folded:]:
-                    if all(g[x] == x for x in fixed):
-                        _union(orbits, g)
-                folded = len(gens)
-            if orbits is not None and _find(orbits, v) != v:
+            bits = _leaf_bits(n, rows, pos)
+            resume = len(path)
+            found = []
+            for known in (first, best):
+                if known is not None and bits == known[0]:
+                    gamma = [0] * n
+                    for p, q in zip(pos, known[1]):
+                        gamma[p] = q
+                    found.append(tuple(gamma))
+                    resume = min(resume, _common_prefix(path, known[2]))
+            leaf = (bits, pos, path[:])
+            first = first or leaf
+            if best is None or bits < best[0]:
+                best = leaf
+            if resume == len(path):  # no backjump: the twins' swaps are automorphisms
+                found += swaps
+            for t in found:
+                if t not in gen_seen:
+                    gen_seen.add(t)
+                    gens.append(t)
+            del frames[resume + 1 :]
+        while frames:  # the next child of the deepest node with one left
+            frame = frames[-1]
+            head, tail, tcell, rest, orbits, folded = frame
+            del path[len(frames) - 1 :]
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                v = b.bit_length() - 1
+                if folded < len(gens):
+                    if orbits is None:
+                        orbits = list(range(n))
+                    for g in gens[folded:]:
+                        if all(g[x] == x for x in path):
+                            _union(orbits, g)
+                    folded = len(gens)
+                if orbits is None or _find(orbits, v) == v:
+                    break
+            else:
+                frames.pop()
                 continue
-            fixed.append(v)
-            resume = rec(_refine(rows, head + [b, tcell ^ b] + tail, [b]), fixed)
-            fixed.pop()
-            if resume < depth:
-                return resume
-        return depth
-
-    rec(cells0, [])
-    return best_pos, gens
+            frame[3:] = rest, orbits, folded
+            path.append(v)
+            cells = _refine(rows, head + [b, tcell ^ b] + tail, [b])
+            break
+        else:
+            return best[1], gens
 
 
 def canon_rows(

@@ -152,10 +152,9 @@ def cmd_formula(name: str, n: Optional[int], a: Optional[int],
     names, fn = FORMULAS[name]
     with _exit_codes():
         values = _registry_args(names, {"n": n, "a": a, "m": m}, f"formula {name}")
-        result = fn(*values)
-    if name == "second-place-gap":
-        # keep the /24 denominator visible rather than auto-reducing
-        result = f"{second_place_gap_numerator(*values)}/24"
+        # keep the gap's /24 denominator visible rather than auto-reducing
+        result = (f"{second_place_gap_numerator(*values)}/24"
+                  if name == "second-place-gap" else fn(*values))
     if fmt == "json":
         if isinstance(result, dict):
             click.echo(json.dumps(result, sort_keys=True))

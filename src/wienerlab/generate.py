@@ -283,10 +283,13 @@ def enumerate_graphs(
             t = s.bit_count()
             if t > ceiling:
                 continue
-            # the new vertex k ends with degree |s| rounded up to even, the
-            # forced vertex with |odd ^ s| plus that same rounding
-            if penult and t > (odd ^ s).bit_count():
-                continue
+            if penult:
+                # the new vertex k ends with degree |s| rounded up to even,
+                # the forced vertex with |odd ^ s| plus that same rounding;
+                # the forced child's size is m + |s| plus the forced degree
+                u = (odd ^ s).bit_count()
+                if t > u or m + t + u + (t & 1) > m_hi:
+                    continue
             # a non-cut vertex of the parent that outranks the new vertex by
             # degree alone: the key test would reject this child
             if above[t] & ~s or t > 1 and above[t - 1] & s:
@@ -301,8 +304,6 @@ def enumerate_graphs(
             size = m + t
             if penult:  # the popcount test left child_odd nonempty
                 size += child_odd.bit_count()
-                if size > m_hi:
-                    continue
                 forced = _attach(child, child_odd)
                 forced_rivals = _key_rivals(forced)
                 if forced_rivals is None:

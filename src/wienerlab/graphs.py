@@ -124,6 +124,8 @@ def _distance_sum(g: Graph, sources: int, what: str) -> int:
 
 def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
     """Distances from ``source``; None marks unreachable vertices."""
+    if not 0 <= source < g.n:
+        raise ValueError(f"vertex {source} out of range")
     dist: list[Optional[int]] = [None] * g.n
     for d, layer in enumerate(_layers(g.rows, 1 << source)):
         for v in _bits(layer):
@@ -180,6 +182,8 @@ def wiener(g: Graph) -> int:
 
 def sigma_vertex(g: Graph, v: int) -> int:
     """Total distance from ``v`` to all other vertices (transmission of v)."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
     return _distance_sum(g, 1 << v, "total distance")
 
 

@@ -1,8 +1,10 @@
 """Canonical forms, automorphism groups, and orbit computations."""
 import hashlib
+import inspect
 import itertools
 import math
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -15,6 +17,7 @@ from wienerlab.families import (
     cocktail_party,
     complete,
     cycle,
+    friendship,
     path,
     vertex_glued_cycles,
 )
@@ -478,6 +481,21 @@ def test_root_partition_fast_paths_match_the_reference_search(
     random.Random(index).shuffle(perm)
     for h in (g, relabel(g, perm)):
         check_against_reference(h, group_order)
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    """The first path of friendship(40) individualizes about 40 vertices.
+    With the recursion limit 25 frames above the current stack, the search
+    still returns the positions it finds at the normal limit."""
+    g = friendship(40)
+    want = canon_rows(g.n, g.rows)[0]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 25)
+    try:
+        got = canon_rows(g.n, g.rows)[0]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
 
 
 @pytest.mark.parametrize("graph,most", [

@@ -129,6 +129,10 @@ def test_formula_usage_errors(runner):
     assert "--a" in missing.stderr
     domain = runner.invoke(main, ["formula", "wiener-cycle", "--n", "2"])
     assert domain.exit_code == 2
+    for n, a in (("20", "3"), ("30", "20")):
+        gap = runner.invoke(main, ["formula", "second-place-gap", "--n", n, "--a", a])
+        assert gap.exit_code == 2 and gap.stdout == ""
+        assert gap.stderr.startswith("error:") and len(gap.stderr.splitlines()) == 1
 
 
 def test_enumerate_count_and_listing(runner):

@@ -446,6 +446,17 @@ def test_order_nine_size_filter_prunes_forced_children_above_the_ceiling(
     assert canon_calls[0] <= calls
 
 
+@pytest.mark.parametrize("m,calls", [(10, 144), (12, 871), (14, 2_537)])
+def test_order_nine_size_filter_drops_oversized_forced_children_before_the_key_test(
+        call_counts, m, calls):
+    """The forced child's size depends on the candidate subset alone, so a
+    node whose forced child has more than m edges is dropped before it is
+    built and key-tested (301, 1,934 and 5,575 key tests when the size was
+    tested after the key test)."""
+    list(enumerate_graphs(EnumFilter(order=9, size_range=(m, m))))
+    assert call_counts["_key_rivals"] <= calls
+
+
 def test_size_filter():
     filt = EnumFilter(order=7, size_range=(8, 9))
     graphs = list(enumerate_graphs(filt))

@@ -300,6 +300,15 @@ def test_sigma_set_errors():
         sigma_set(build_graph(3, [(0, 1)]), {0})
 
 
+@pytest.mark.parametrize("f", [sigma_vertex, bfs_distances])
+@pytest.mark.parametrize("v", [5, -1])
+def test_a_vertex_outside_the_graph_is_a_value_error(f, v):
+    """As sigma_set rejects a set with a vertex outside the graph (it was an
+    IndexError for v = n and a negative shift count for v = -1)."""
+    with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+        f(cycle(5), v)
+
+
 # ---------------------------------------------------------------------------
 # predicates
 
