@@ -109,14 +109,17 @@ def cmd_wiener() -> None:
 def _registry_args(names: tuple[str, ...], given: dict[str, Optional[int]],
                    what: str) -> list[int]:
     """The option values for a registry entry's parameter names, in order;
-    a family's k is read from --n."""
-    values = []
-    for name in names:
-        flag = "n" if name == "k" else name
+    a family's k is read from --n.  A given option the entry does not take
+    is a usage error, not an argument that is dropped."""
+    flags = ["n" if name == "k" else name for name in names]
+    for flag in flags:
         if given.get(flag) is None:
             raise ValueError(f"{what} needs --{flag}")
-        values.append(given[flag])
-    return values
+    unused = [f"--{flag}" for flag, value in given.items()
+              if value is not None and flag not in flags]
+    if unused:
+        raise ValueError(f"{what} does not take {', '.join(unused)}")
+    return [given[flag] for flag in flags]
 
 
 @main.command("construct")

@@ -160,6 +160,38 @@ def test_group_order_times_classes_counts_labelings(group_order):
         assert len(labeled) == math.factorial(n) // group_order(g)
 
 
+def connected_labeled_counts(top, all_count):
+    """c_1..c_top from the counts e_n of all labeled graphs of a kind closed
+    under disjoint union, by the exponential recurrence
+    c_n = e_n − Σ_{k<n} C(n−1, k−1) c_k e_{n−k} (the component of vertex 1
+    has k vertices)."""
+    c = [0]
+    for n in range(1, top + 1):
+        c.append(all_count(n) - sum(math.comb(n - 1, k - 1) * c[k] * all_count(n - k)
+                                    for k in range(1, n)))
+    return c
+
+
+@pytest.mark.parametrize("even, orders, expected", [
+    # labeled even graphs: 2^C(n−1, 2) (Read 1962); c_n is OEIS A033678
+    (True, range(3, 9), [1, 3, 38, 720, 26_614, 1_858_122]),
+    # labeled graphs: 2^C(n, 2); c_n is OEIS A001187
+    (False, range(1, 8), [1, 1, 4, 38, 728, 26_704, 1_866_256]),
+])
+def test_classes_times_their_labelings_count_the_labeled_graphs(
+        even, orders, expected, group_order):
+    """Orbit counting: the classes of an order, each weighted by
+    n!/|Aut G| from the generators canon_rows returns, sum to the number of
+    labeled graphs of that kind.  A missing generator raises the sum, and
+    one that is not an automorphism lowers it."""
+    edges = (lambda n: math.comb(n - 1, 2)) if even else (lambda n: math.comb(n, 2))
+    labeled = connected_labeled_counts(max(orders), lambda n: 2 ** edges(n))
+    sums = [sum(math.factorial(n) // group_order(g)
+                for g in enumerate_graphs(EnumFilter(order=n, require_even_degrees=even)))
+            for n in orders]
+    assert sums == [labeled[n] for n in orders] == expected
+
+
 def full_vector_refine(rows, cells):
     """Reference refinement, the labeler's former body: every pass splits
     each cell by its vertices' tuple of counts into all current cells and

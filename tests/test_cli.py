@@ -135,6 +135,19 @@ def test_formula_usage_errors(runner):
         assert gap.stderr.startswith("error:") and len(gap.stderr.splitlines()) == 1
 
 
+def test_an_option_the_registry_entry_does_not_take_is_a_usage_error(runner):
+    for args, unused in (
+        (["formula", "wiener-cycle", "--n", "10", "--a", "3", "--m", "7"], "--a, --m"),
+        (["construct", "cycle", "--n", "6", "--a", "3"], "--a"),
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
+        assert result.stderr.rstrip().endswith(f"does not take {unused}")
+    # friendship's k is read from --n, which is therefore used
+    assert runner.invoke(main, ["construct", "friendship", "--n", "3"]).exit_code == 0
+
+
 def test_enumerate_count_and_listing(runner):
     count = runner.invoke(main, ["enumerate", "--n", "6", "--count"])
     assert count.exit_code == 0
