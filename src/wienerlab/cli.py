@@ -22,13 +22,13 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import click
 
 from .canon import canonical_form
 from .families import FAMILIES
-from .formulas import FORMULAS, second_place_gap_numerator
+from .formulas import FORMULAS
 from .generate import (
     POOL_MIN_ORDER,
     SHARDS as _INTERNAL_SHARDS,  # read by perfbench's traced pool run
@@ -41,7 +41,8 @@ from .generate import (
     map_shards,
 )
 from .graphs import graph6_decode, graph6_encode, wiener
-from .verify import ClaimReport, CLAIM_IDS, min_wiener_table, verify_claim
+from .verify import (CLAIM_IDS, SKIPPED, VIOLATED, ClaimReport, min_wiener_table,
+                     verify_claim)
 
 
 def _jobs_option(extra: str = ""):
@@ -71,6 +72,13 @@ def _parse_range(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError:
         raise ValueError(f"bad range {text!r}, expected A:B") from None
+
+
+def _echo_csv(header: list[str], rows: Iterable[Sequence]) -> None:
+    """Write one CSV table, header first, to stdout; None is an empty field."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    click.echo(buf.getvalue().rstrip("\n"))
 
 
 @click.group()
@@ -108,18 +116,16 @@ def cmd_wiener() -> None:
 
 def _registry_args(names: tuple[str, ...], given: dict[str, Optional[int]],
                    what: str) -> list[int]:
-    """The option values for a registry entry's parameter names, in order;
-    a family's k is read from --n.  A given option the entry does not take
-    is a usage error, not an argument that is dropped."""
-    flags = ["n" if name == "k" else name for name in names]
-    for flag in flags:
-        if given.get(flag) is None:
-            raise ValueError(f"{what} needs --{flag}")
+    """The option values for a registry entry's parameter names, in order; a
+    given option the entry does not take is a usage error, not dropped."""
+    for name in names:
+        if given.get(name) is None:
+            raise ValueError(f"{what} needs --{name}")
     unused = [f"--{flag}" for flag, value in given.items()
-              if value is not None and flag not in flags]
+              if value is not None and flag not in names]
     if unused:
         raise ValueError(f"{what} does not take {', '.join(unused)}")
-    return [given[flag] for flag in flags]
+    return [given[name] for name in names]
 
 
 @main.command("construct")
@@ -154,10 +160,7 @@ def cmd_formula(name: str, n: Optional[int], a: Optional[int],
     """Evaluate a closed form; exact integers (gaps print as N/24)."""
     names, fn = FORMULAS[name]
     with _exit_codes():
-        values = _registry_args(names, {"n": n, "a": a, "m": m}, f"formula {name}")
-        # keep the gap's /24 denominator visible rather than auto-reducing
-        result = (f"{second_place_gap_numerator(*values)}/24"
-                  if name == "second-place-gap" else fn(*values))
+        result = fn(*_registry_args(names, {"n": n, "a": a, "m": m}, f"formula {name}"))
     if fmt == "json":
         if isinstance(result, dict):
             click.echo(json.dumps(result, sort_keys=True))
@@ -241,11 +244,7 @@ def cmd_rank(n: int, top: int, objective: str, jobs: int, fmt: str) -> None:
     if fmt == "json":
         click.echo(json.dumps([{"wiener": w, "graph6": g6} for w, g6 in entries]))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["wiener", "graph6"])
-        writer.writerows(entries)
-        click.echo(buf.getvalue().rstrip("\n"))
+        _echo_csv(["wiener", "graph6"], entries)
     elif fmt == "g6":
         for _, g6 in entries:
             click.echo(g6)
@@ -290,9 +289,9 @@ def cmd_verify(claim_id: str, n: Optional[int], n_range: Optional[str],
             click.echo(f"  witness {g6}")
     else:
         click.echo(json.dumps(_report_payload(report), sort_keys=True))
-    if report.status == "violated":
+    if report.status == VIOLATED:
         sys.exit(1)
-    if report.status == "skipped_out_of_envelope":
+    if report.status == SKIPPED:
         sys.exit(2)
 
 
@@ -308,28 +307,16 @@ def cmd_min_table(n: int, m_max: Optional[int], jobs: int, fmt: str) -> None:
     with _exit_codes():
         rows = min_wiener_table(n, m_max, jobs=jobs)
     if fmt == "json":
-        click.echo(json.dumps([
-            {"n": r.n, "m": r.m, "min_wiener": r.min_wiener,
-             "witnesses": list(r.witnesses)}
-            for r in rows
-        ]))
+        click.echo(json.dumps([asdict(r) for r in rows]))
     elif fmt == "text":
         for r in rows:
             value = "-" if r.min_wiener is None else str(r.min_wiener)
             wits = " ".join(r.witnesses) or "-"
             click.echo(f"n={r.n} m={r.m} min_wiener={value} witnesses={wits}")
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "m", "min_wiener", "witness_count", "witnesses"])
-        for r in rows:
-            writer.writerow([
-                r.n, r.m,
-                "" if r.min_wiener is None else r.min_wiener,
-                len(r.witnesses),
-                " ".join(r.witnesses),
-            ])
-        click.echo(buf.getvalue().rstrip("\n"))
+        _echo_csv(["n", "m", "min_wiener", "witness_count", "witnesses"],
+                  [(r.n, r.m, r.min_wiener, len(r.witnesses), " ".join(r.witnesses))
+                   for r in rows])
 
 
 if __name__ == "__main__":

@@ -209,7 +209,7 @@ FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., object]]] = {
     "cocktail-party": (("n",), cocktail_party),
     "vertex-glued-cycles": (("n", "a"), vertex_glued_cycles),
     "edge-glued-cycles": (("n", "a"), edge_glued_cycles),
-    "friendship": (("k",), friendship),
+    "friendship": (("n",), friendship),  # --n is k, the number of triangles
     "sparse-diameter-two": (("n",), sparse_diameter_two),
     "runner-up": (("n",), runner_up_catalog),
 }

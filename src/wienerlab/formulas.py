@@ -147,5 +147,7 @@ FORMULAS: dict[str, tuple[tuple[str, ...], Callable[..., object]]] = {
     "min-wiener-eulerian": (("n",), min_wiener_eulerian),
     "wiener-lower-bound": (("n", "m"), wiener_lower_bound),
     "min-size-diameter-two": (("n",), min_size_diameter_two),
-    "second-place-gap": (("n", "a"), second_place_gap),
+    # the gap keeps its /24 denominator visible rather than auto-reducing
+    "second-place-gap": (("n", "a"),
+                         lambda n, a: f"{second_place_gap_numerator(n, a)}/24"),
 }

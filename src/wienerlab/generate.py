@@ -361,14 +361,17 @@ def map_shards(worker: Callable[[tuple], list], args: object,
     those that finished together.  No partial result is returned.  Running
     workers cannot be stopped: they still finish the shards already
     submitted, at most one per worker, and the interpreter waits for those
-    at exit.
+    at exit.  Workers start from a forkserver: a child forked from here
+    could inherit a lock held by a live thread of an earlier pool, and wait
+    on it forever.
     """
     if not jobs or jobs < 2 or order < POOL_MIN_ORDER:
         return worker((args, 1, 0))
     # imported here, not at the top: commands that never fan out stay smaller
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from multiprocessing import get_context
 
-    pool = ProcessPoolExecutor(min(jobs, SHARDS))
+    pool = ProcessPoolExecutor(min(jobs, SHARDS), mp_context=get_context("forkserver"))
     parts: list = [None] * SHARDS
     todo = iter(range(SHARDS))
     try:

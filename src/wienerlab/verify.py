@@ -3,8 +3,8 @@
 Each check answers one question about Wiener indices of small Eulerian (or
 2-connected / 2-edge-connected) graphs and returns a ClaimReport with a
 machine-readable verdict.  Claim ids are short protocol codes shared with the
-command line (T1, T2, L2, L3, C1, C2, T3a, T3b, T3c, P1, P2, P3, Q1, FIG1,
-GAP).
+command line; CLAIM_IDS is the registry's key order (T1, T2, L2, L3, C1, C2,
+T3a, T3b, T3c, P1, P2, P3, Q1, FIG1, GAP).
 
 One registry holds what the claims share.  Each claim is a body under a
 ``_claim`` decorator (one order n) or a ``_range_claim`` decorator (the
@@ -66,11 +66,6 @@ from .graphs import (
     sigma_set,
     sigma_vertex,
     wiener,
-)
-
-CLAIM_IDS = (
-    "T1", "T2", "L2", "L3", "C1", "C2",
-    "T3a", "T3b", "T3c", "P1", "P2", "P3", "Q1", "FIG1", "GAP",
 )
 
 VERIFIED = "verified"
@@ -358,56 +353,6 @@ def verify_T2(n: int, jobs: Optional[int]) -> Outcome:
     return VIOLATED, actual, (
         f"runner-up set at W = {second} is {list(actual)} but expected "
         f"{description} ({list(expected)}); triangle-glued cycle has W = {w_glued}")
-
-
-@_claim("FIG1", floor=None)  # runner_up_catalog raises for unsupported orders
-def verify_FIG1(n: int, jobs: Optional[int]) -> Outcome:
-    """Cataloged runner-up graphs: structure, and their claimed Wiener values.
-
-    Within the enumeration envelope the catalog must sit inside the true
-    runner-up set; at orders 11 and 13 the check is the claimed equality
-    W(chain) = W(triangle-glued cycle) by direct computation.  The equality
-    holds at order 13 (248 = 248) and is refuted at order 11, where the
-    chain [3,4,4,3] has W = 150 against 149, so the report there is
-    ``violated``.
-    """
-    catalog = runner_up_catalog(n)
-    cyc = canonical_form(cycle(n))
-    forms = [canonical_form(g) for g in catalog]
-    witnesses = tuple(sorted(forms))
-    problems: list[str] = []
-    for g, form in zip(catalog, forms):
-        if g.n != n:
-            problems.append(f"catalog graph has order {g.n}")
-        if not is_eulerian(g):
-            problems.append(f"{form} is not Eulerian")
-        if form == cyc:
-            problems.append("catalog graph is the cycle")
-    if len(set(forms)) != len(forms):
-        problems.append("catalog contains isomorphic duplicates")
-    if problems:
-        return VIOLATED, witnesses, "; ".join(problems)
-    if n <= EULERIAN_ENVELOPE:
-        second, actual = _second_place(n, jobs)
-        missing = [f for f in forms if f not in actual]
-        values = [wiener(g) for g in catalog]
-        if missing or any(v != second for v in values):
-            return VIOLATED, witnesses, (
-                f"catalog values {values} vs enumerated second place {second}; "
-                f"absent from runner-up set: {missing}")
-        glued_w = wiener_vertex_glued_triangle(n)
-        tie = "ties" if glued_w == second else "strictly exceeds"
-        return VERIFIED, witnesses, (
-            f"catalog realizes the enumerated second place W = {second}; "
-            f"it {tie} the triangle-glued cycle at {glued_w}")
-    claimed = wiener_vertex_glued_triangle(n)
-    values = [wiener(g) for g in catalog]
-    if all(v == claimed for v in values):
-        return VERIFIED, witnesses, (
-            f"W(catalog) = {claimed} = W(triangle-glued cycle), as claimed")
-    return VIOLATED, witnesses, (
-        f"claimed tie fails: W(catalog) = {values} but the triangle-glued "
-        f"cycle has W = {claimed}")
 
 
 def _chain_order(n: int) -> list[int]:
@@ -719,7 +664,57 @@ def verify_Q1(n: int, jobs: Optional[int]) -> Outcome:
 
 
 # ---------------------------------------------------------------------------
-# Gap polynomial
+# Runner-up catalog and gap polynomial
+
+
+@_claim("FIG1", floor=None)  # runner_up_catalog raises for unsupported orders
+def verify_FIG1(n: int, jobs: Optional[int]) -> Outcome:
+    """Cataloged runner-up graphs: structure, and their claimed Wiener values.
+
+    Within the enumeration envelope the catalog must sit inside the true
+    runner-up set; at orders 11 and 13 the check is the claimed equality
+    W(chain) = W(triangle-glued cycle) by direct computation.  The equality
+    holds at order 13 (248 = 248) and is refuted at order 11, where the
+    chain [3,4,4,3] has W = 150 against 149, so the report there is
+    ``violated``.
+    """
+    catalog = runner_up_catalog(n)
+    cyc = canonical_form(cycle(n))
+    forms = [canonical_form(g) for g in catalog]
+    witnesses = tuple(sorted(forms))
+    problems: list[str] = []
+    for g, form in zip(catalog, forms):
+        if g.n != n:
+            problems.append(f"catalog graph has order {g.n}")
+        if not is_eulerian(g):
+            problems.append(f"{form} is not Eulerian")
+        if form == cyc:
+            problems.append("catalog graph is the cycle")
+    if len(set(forms)) != len(forms):
+        problems.append("catalog contains isomorphic duplicates")
+    if problems:
+        return VIOLATED, witnesses, "; ".join(problems)
+    if n <= EULERIAN_ENVELOPE:
+        second, actual = _second_place(n, jobs)
+        missing = [f for f in forms if f not in actual]
+        values = [wiener(g) for g in catalog]
+        if missing or any(v != second for v in values):
+            return VIOLATED, witnesses, (
+                f"catalog values {values} vs enumerated second place {second}; "
+                f"absent from runner-up set: {missing}")
+        glued_w = wiener_vertex_glued_triangle(n)
+        tie = "ties" if glued_w == second else "strictly exceeds"
+        return VERIFIED, witnesses, (
+            f"catalog realizes the enumerated second place W = {second}; "
+            f"it {tie} the triangle-glued cycle at {glued_w}")
+    claimed = wiener_vertex_glued_triangle(n)
+    values = [wiener(g) for g in catalog]
+    if all(v == claimed for v in values):
+        return VERIFIED, witnesses, (
+            f"W(catalog) = {claimed} = W(triangle-glued cycle), as claimed")
+    return VIOLATED, witnesses, (
+        f"claimed tie fails: W(catalog) = {values} but the triangle-glued "
+        f"cycle has W = {claimed}")
 
 
 @_range_claim("GAP", default=(26, 500))
@@ -751,6 +746,9 @@ def verify_GAP(n_lo: int, n_hi: int) -> Outcome:
 
 # ---------------------------------------------------------------------------
 # Dispatch
+
+
+CLAIM_IDS = tuple(CLAIM_VERIFIERS)  # the order in which the claims above register
 
 
 def verify_claim(

@@ -174,9 +174,9 @@ def connected_labeled_counts(top, all_count):
 
 @pytest.mark.parametrize("even, orders, expected", [
     # labeled even graphs: 2^C(n−1, 2) (Read 1962); c_n is OEIS A033678
-    (True, range(3, 9), [1, 3, 38, 720, 26_614, 1_858_122]),
+    (True, range(3, 10), [1, 3, 38, 720, 26_614, 1_858_122, 250_586_792]),
     # labeled graphs: 2^C(n, 2); c_n is OEIS A001187
-    (False, range(1, 8), [1, 1, 4, 38, 728, 26_704, 1_866_256]),
+    (False, range(1, 9), [1, 1, 4, 38, 728, 26_704, 1_866_256, 251_548_592]),
 ])
 def test_classes_times_their_labelings_count_the_labeled_graphs(
         even, orders, expected, group_order):

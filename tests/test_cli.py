@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 import concurrent.futures
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -353,14 +354,12 @@ def test_failed_worker_exits_one_with_one_error_line(
     assert verify._eulerian_cache == {}
 
 
-TEST_PID = os.getpid()
-
-
 def kill_in_shard_three(args):
     """Shard worker whose process SIGKILLs itself in shard 3; it never kills
-    the test process, should the shard run there."""
+    the test process, should the shard run there (a pool worker has a
+    parent process, the test process has none)."""
     _, _, index = args
-    if index == 3 and os.getpid() != TEST_PID:
+    if index == 3 and multiprocessing.parent_process() is not None:
         os.kill(os.getpid(), signal.SIGKILL)
     return []
 

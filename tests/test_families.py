@@ -72,10 +72,10 @@ def test_family_preconditions():
 
 def test_families_reject_orders_graph6_cannot_encode():
     """Each registered family raises at once for an order above
-    G6_MAX_ORDER; friendship(k) has order 2k + 1, and the runner-up catalog
+    G6_MAX_ORDER; friendship(n) has order 2n + 1, and the runner-up catalog
     has no entry that large."""
     too_big = G6_MAX_ORDER + 1
-    values = {"n": too_big, "k": too_big // 2, "a": 4}
+    values = {"n": too_big, "a": 4}
     for name, (params, fn) in FAMILIES.items():
         with pytest.raises(ValueError, match="graph6|no exceptional"):
             fn(*(values[p] for p in params))

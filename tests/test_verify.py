@@ -31,7 +31,6 @@ from wienerlab.graphs import (
 )
 from wienerlab.verify import (
     CLAIM_IDS,
-    CLAIM_VERIFIERS,
     EULERIAN_ENVELOPE,
     GENERAL_ENVELOPE,
     SKIPPED,
@@ -606,10 +605,6 @@ def test_dispatch_argument_rules():
     gap = verify_claim("GAP")
     assert gap.status == VERIFIED
     assert gap.param_dict() == {"n_lo": 26, "n_hi": 500}
-
-
-def test_every_claim_id_has_a_verifier():
-    assert set(CLAIM_IDS) == set(CLAIM_VERIFIERS)
 
 
 def test_reports_are_deterministic_up_to_elapsed():
