@@ -6,10 +6,11 @@ enumerator and the canonical labeler work on, so no conversion sits between
 them and the graphs they emit.  All quantities (distances, Wiener index,
 remoteness sums) are exact integers; nothing here touches floating point.
 W, the diameter and the census columns of verify read one all-sources kernel
-that grows the distance ball of every vertex by one radius per level;
-bfs_distances, sigma_* and is_connected read one frontier BFS from a vertex
-set.  Cut vertices, bridges and blocks are all answered by one bitmask
-reachability routine, _reach, which the enumerator's key test also uses.
+that packs the distance balls of all vertices into one int and grows them all
+by one radius per level with a few shifts per edge offset; bfs_distances,
+sigma_* and is_connected read one frontier BFS from a vertex set.  Cut
+vertices, bridges and blocks are all answered by one bitmask reachability
+routine, _reach, which the enumerator's key test also uses.
 """
 from __future__ import annotations
 
@@ -133,34 +134,82 @@ def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
     return dist
 
 
-def _balls(g: Graph) -> Iterator[list[int]]:
-    """Levels of the ball kernel, each a new list: B_0[s] = 1 << s, B_{d+1}[s] =
-    B_d[s] | OR of B_d[v] over v ~ s; sigma(s) = sum over d of n - |B_d[s]|.  Full
-    balls are not grown again.  A connected graph yields diameter + 1 levels,
-    the last one full; on a disconnected one the last level repeats the one before."""
-    full = (1 << g.n) - 1
-    nbrs = [list(_bits(row)) for row in g.rows]
-    balls = [1 << s for s in range(g.n)]
-    growing = [s for s in range(g.n) if balls[s] != full]
-    yield balls
-    while growing:
-        prev, balls = balls, balls[:]
-        for s in growing:
-            b = prev[s]
-            for v in nbrs[s]:
-                b |= prev[v]
-            balls[s] = b
-        yield balls
-        growing = [s for s in growing if prev[s] != balls[s] != full]
+def _offset_masks(rows: Sequence[int]) -> tuple[dict[int, int], int]:
+    """M_k for each edge offset k: the mask of the n-bit blocks lo of the edges
+    that join positions lo and lo + k; and the edge count."""
+    n = len(rows)
+    block = (1 << n) - 1
+    masks: dict[int, int] = {}
+    m = 0
+    for lo, row in enumerate(rows):
+        row >>= lo + 1
+        at = block << lo * n
+        while row:
+            b = row & -row
+            row ^= b
+            k = b.bit_length()
+            masks[k] = masks.get(k, 0) | at
+            m += 1
+    return masks, m
+
+
+def _dfs_positions(rows: Sequence[int]) -> list[int]:
+    """Each vertex's index in a DFS preorder that takes the lowest unseen
+    neighbour first and enters each component at its lowest vertex."""
+    unseen = (1 << len(rows)) - 1
+    pos = [0] * len(rows)
+    path: list[int] = []
+    while unseen:
+        nxt = rows[path[-1]] & unseen if path else unseen
+        if not nxt:
+            path.pop()
+            continue
+        b = nxt & -nxt
+        unseen ^= b
+        v = b.bit_length() - 1
+        pos[v] = len(rows) - unseen.bit_count() - 1
+        path.append(v)
+    return pos
+
+
+def _balls(g: Graph) -> Iterator[int]:
+    """Levels of the all-sources ball kernel, each packed into one int: bits
+    p*n .. p*n + n - 1 of level d hold B_d of the vertex at position p, the set
+    of positions within distance d of it.  Level 0 is the diagonal, and
+    B_{d+1}[s] = B_d[s] | OR of B_d[v] over v ~ s, so one step moves whole
+    blocks: for each distinct edge offset k, block lo takes in block lo + k and
+    block lo + k takes in block lo, where M_k marks the blocks lo of the edges
+    that join lo and lo + k.  Positions are the labels, unless the labels give
+    more offsets than the cycle rank plus one (m - n + 2); then they are a DFS
+    preorder, where a tree edge has offset 1 unless the search backtracked
+    before it.  The stream stops at the first full level, or, on a disconnected
+    graph, at the first level that does not grow, so it ends full iff g is
+    connected, after diameter + 1 levels."""
+    n = g.n
+    masks, m = _offset_masks(g.rows)
+    if len(masks) > m - n + 2:
+        masks = _offset_masks(relabel(g, _dfs_positions(g.rows)).rows)[0]
+    shifts = [(k * n, mask) for k, mask in masks.items()]
+    full = (1 << n * n) - 1
+    level = sum(1 << p * (n + 1) for p in range(n))
+    yield level
+    while level != full:
+        grown = level
+        for shift, mask in shifts:
+            grown |= level >> shift & mask | (level & mask) << shift
+        if grown == level:
+            return
+        level = grown
+        yield level
 
 
 def diameter(g: Graph) -> Optional[int]:
     """Largest eccentricity, or None when the graph is empty or disconnected."""
     if g.n == 0:
         return None
-    for d, balls in enumerate(_balls(g)):
+    for d, level in enumerate(_balls(g)):
         pass
-    return d if balls.count((1 << g.n) - 1) == g.n else None
+    return d if level.bit_count() == g.n * g.n else None
 
 
 def is_connected(g: Graph) -> bool:
@@ -172,8 +221,8 @@ def wiener(g: Graph) -> int:
     if g.n == 0:
         raise ValueError("wiener index undefined: graph is empty")
     total = missing = 0
-    for balls in _balls(g):
-        missing = g.n * g.n - sum(map(int.bit_count, balls))
+    for level in _balls(g):
+        missing = g.n * g.n - level.bit_count()
         total += missing
     if missing:  # the last level is full unless some vertex is unreachable
         raise ValueError("wiener index undefined: graph is disconnected")

@@ -27,7 +27,6 @@ import time
 from array import array
 from dataclasses import dataclass
 from itertools import combinations
-from operator import sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .canon import canonical_form
@@ -224,16 +223,23 @@ def census_columns(n: int) -> CensusColumns:
 
 def _invariants(g: Graph) -> tuple[int, ...]:
     """The CensusColumns values of one class, from one cut-vertex mask and
-    one run of the all-sources ball kernel.  The pair sum sigma({u, w}) is
-    at most min(sigma(u), sigma(w)) - 1, since u adds d(u, w) to sigma(w)
-    only; pairs are visited by that bound until it cannot beat the best."""
+    one run of the all-sources ball kernel.  Its levels are stacked into one
+    int, level d at bit d*n*n, and ``sel`` marks the first block of each
+    level, so with L levels sigma(s) = n*L - |(stack >> s*n) & sel| and
+    sigma({u, w}) = n*L - |(stack >> u*n | stack >> w*n) & sel|.  The vertices
+    are the kernel's positions; every column is a sum or a maximum, so their
+    order does not matter.  The pair sum is at most min(sigma(u), sigma(w)) - 1,
+    since u adds d(u, w) to sigma(w) only; pairs are visited by that bound
+    until it cannot beat the best."""
     n = g.n
     cuts = _cut_mask(g.rows)
-    levels = list(_balls(g))[:-1]  # the last level is full: it adds nothing
-    full = n * len(levels)
-    sums = [full] * n  # sigma(s) = sum over the levels d of n - |B_d[s]|
-    for level in levels:
-        sums = list(map(sub, sums, map(int.bit_count, level)))
+    stack = sel = 0
+    for d, level in enumerate(_balls(g)):
+        stack |= level << d * n * n
+        sel |= ((1 << n) - 1) << d * n * n
+    full = n * (d + 1)
+    tails = [stack >> s * n for s in range(n)]
+    sums = [full - (tail & sel).bit_count() for tail in tails]
     biconnected = n >= 3 and not cuts
     # a 2-connected graph is bridgeless
     bridgeless = biconnected or not _bridges(g.rows, cuts)
@@ -244,8 +250,8 @@ def _invariants(g: Graph) -> tuple[int, ...]:
             if sums[w] - 1 <= pair:
                 break
             for u in by_sum[:j]:
-                pair = max(pair, full - sum((lv[u] | lv[w]).bit_count() for lv in levels))
-    return (g.m, sum(sums) // 2, len(levels), max(sums), pair, biconnected,
+                pair = max(pair, full - ((tails[u] | tails[w]) & sel).bit_count())
+    return (g.m, sum(sums) // 2, d, max(sums), pair, biconnected,
             bridgeless)
 
 

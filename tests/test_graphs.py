@@ -1,13 +1,22 @@
 """Core graph type: construction, distances, predicates, blocks, graph6."""
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wienerlab.families import cycle, complete, path, runner_up_catalog, vertex_glued_cycles
+from wienerlab.families import (
+    complete,
+    cycle,
+    edge_glued_cycles,
+    path,
+    runner_up_catalog,
+    vertex_glued_cycles,
+)
 from wienerlab.graphs import (
+    _offset_masks,
     bfs_distances,
     block_decomposition,
     bridges,
@@ -206,6 +215,67 @@ def test_wiener_and_diameter_on_disconnected_graphs(n, edges):
     with pytest.raises(ValueError, match="graph is disconnected"):
         wiener(g)
     assert diameter(g) is None
+
+
+def shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(g, perm)
+
+
+def uses_labels(g):
+    """True when the ball kernel keeps g's labels as positions, False when it
+    takes a DFS preorder instead."""
+    masks, m = _offset_masks(g.rows)
+    return len(masks) <= m - g.n + 2
+
+
+def relabeling_cases():
+    rng = random.Random(23)
+    for n in (60, 300):
+        yield cycle(n)
+        yield path(n)
+        yield vertex_glued_cycles(n, n // 3)
+        yield edge_glued_cycles(n, n // 4)
+    for _ in range(6):
+        n = rng.randint(2, 60)
+        yield random_connected(rng, n, rng.choice([0, 2, n // 4, n]))
+
+
+def test_wiener_and_diameter_do_not_depend_on_the_labels():
+    """The ball kernel's positions are the labels or a DFS preorder; a
+    shuffled copy of a family graph takes the other path and must give the
+    same values, and both must match networkx."""
+    assert uses_labels(cycle(60)) and not uses_labels(shuffled(cycle(60), 0))
+    for seed, g in enumerate(relabeling_cases()):
+        dist = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
+        w = sum(map(sum, (row.values() for row in dist.values()))) // 2
+        d = max(max(row.values()) for row in dist.values())
+        for h in (g, shuffled(g, seed)):
+            assert (wiener(h), diameter(h)) == (w, d), (g.n, g.m, seed)
+
+
+@pytest.mark.parametrize("g", [
+    shuffled(build_graph(60, [(v, (v + 1) % 30 + v // 30 * 30) for v in range(60)]), 1),
+    shuffled(build_graph(61, [(v, v + 1) for v in range(59)]), 2),
+])
+def test_shuffled_disconnected_graphs_are_disconnected(g):
+    assert not uses_labels(g)
+    with pytest.raises(ValueError, match="graph is disconnected"):
+        wiener(g)
+    assert diameter(g) is None
+
+
+def test_shuffled_long_cycles_stay_fast():
+    """Budget 1.5 s: W and the diameter of a shuffled C_600 and a shuffled
+    vertex-glued pair of 300- and 301-cycles took 0.11 s in all, and 6.3 s
+    with the labels as positions (about 600 edge offsets per level step)."""
+    graphs = [shuffled(cycle(600), 3), shuffled(vertex_glued_cycles(600, 300), 4)]
+    t0 = time.perf_counter()
+    values = [(wiener(g), diameter(g)) for g in graphs]
+    elapsed = time.perf_counter() - t0
+    assert values == [(27_000_000, 300), (20_306_175, 300)]
+    assert elapsed < 1.5, f"took {elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("n", range(1, 8))
