@@ -182,9 +182,11 @@ def _balls(g: Graph) -> Iterator[int]:
     that join lo and lo + k.  Positions are the labels, unless the labels give
     more offsets than the cycle rank plus one (m - n + 2); then they are a DFS
     preorder, where a tree edge has offset 1 unless the search backtracked
-    before it.  The stream stops at the first full level, or, on a disconnected
-    graph, at the first level that does not grow, so it ends full iff g is
-    connected, after diameter + 1 levels."""
+    before it.  A step costs n*n bits of work per offset, so the kernel is fast
+    only on graphs with few offsets, such as glued cycles; a hub graph has
+    about n under any positions.  The stream stops at the first full level,
+    or, on a disconnected graph, at the first level that does not grow, so it
+    ends full iff g is connected, after diameter + 1 levels."""
     n = g.n
     masks, m = _offset_masks(g.rows)
     if len(masks) > m - n + 2:

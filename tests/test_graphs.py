@@ -15,8 +15,8 @@ from wienerlab.families import (
     runner_up_catalog,
     vertex_glued_cycles,
 )
+from wienerlab import graphs
 from wienerlab.graphs import (
-    _offset_masks,
     bfs_distances,
     block_decomposition,
     bridges,
@@ -223,11 +223,19 @@ def shuffled(g, seed):
     return relabel(g, perm)
 
 
-def uses_labels(g):
-    """True when the ball kernel keeps g's labels as positions, False when it
-    takes a DFS preorder instead."""
-    masks, m = _offset_masks(g.rows)
-    return len(masks) <= m - g.n + 2
+@pytest.fixture
+def dfs_runs(monkeypatch):
+    """Records each call of graphs._dfs_positions, which the ball kernel makes
+    when it drops the labels for a DFS preorder."""
+    runs = []
+    dfs_positions = graphs._dfs_positions
+
+    def spy(rows):
+        runs.append(len(rows))
+        return dfs_positions(rows)
+
+    monkeypatch.setattr(graphs, "_dfs_positions", spy)
+    return runs
 
 
 def relabeling_cases():
@@ -242,11 +250,14 @@ def relabeling_cases():
         yield random_connected(rng, n, rng.choice([0, 2, n // 4, n]))
 
 
-def test_wiener_and_diameter_do_not_depend_on_the_labels():
+def test_wiener_and_diameter_do_not_depend_on_the_labels(dfs_runs):
     """The ball kernel's positions are the labels or a DFS preorder; a
-    shuffled copy of a family graph takes the other path and must give the
-    same values, and both must match networkx."""
-    assert uses_labels(cycle(60)) and not uses_labels(shuffled(cycle(60), 0))
+    shuffled copy of a family graph must give the same values, and both must
+    match networkx.  C_60 keeps its labels and a shuffled C_60 does not."""
+    wiener(cycle(60))
+    assert dfs_runs == []
+    wiener(shuffled(cycle(60), 0))
+    assert dfs_runs == [60]
     for seed, g in enumerate(relabeling_cases()):
         dist = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
         w = sum(map(sum, (row.values() for row in dist.values()))) // 2
@@ -259,11 +270,11 @@ def test_wiener_and_diameter_do_not_depend_on_the_labels():
     shuffled(build_graph(60, [(v, (v + 1) % 30 + v // 30 * 30) for v in range(60)]), 1),
     shuffled(build_graph(61, [(v, v + 1) for v in range(59)]), 2),
 ])
-def test_shuffled_disconnected_graphs_are_disconnected(g):
-    assert not uses_labels(g)
+def test_shuffled_disconnected_graphs_are_disconnected(g, dfs_runs):
     with pytest.raises(ValueError, match="graph is disconnected"):
         wiener(g)
     assert diameter(g) is None
+    assert dfs_runs == [g.n, g.n]
 
 
 def test_shuffled_long_cycles_stay_fast():
