@@ -7,14 +7,18 @@ them and the graphs they emit.  All quantities (distances, Wiener index,
 remoteness sums) are exact integers; nothing here touches floating point.
 W, the diameter and the census columns of verify read one all-sources kernel
 that packs the distance balls of all vertices into one int and grows them all
-by one radius per level with a few shifts per edge offset; bfs_distances,
-sigma_* and is_connected read one frontier BFS from a vertex set.  Cut
-vertices, bridges and blocks are all answered by one bitmask reachability
-routine, _reach, which the enumerator's key test also uses.
+by one radius per level with a few shifts per edge offset, and W reads the
+binary digits of all distances from a few XOR planes of those levels;
+bfs_distances, sigma_* and is_connected read one frontier BFS from a vertex
+set.  Cut vertices, bridges and blocks are all answered by one bitmask
+reachability routine, _reach, which the enumerator's key test also uses.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate, zip_longest
+from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 Edge = tuple[int, int]
@@ -81,16 +85,21 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Image of ``g`` under the vertex relabeling ``v -> perm[v]``."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm is not a permutation of the vertex set")
+    return Graph(g.n, tuple(_moved_rows(g.rows, perm)))
+
+
+def _moved_rows(rows: Sequence[int], perm: Sequence[int]) -> list[int]:
+    """The adjacency rows after the relabeling ``v -> perm[v]``."""
     image = [1 << p for p in perm]
-    rows = [0] * g.n
-    for u, row in enumerate(g.rows):
+    moved = [0] * len(rows)
+    for u, row in enumerate(rows):
         mapped = 0
         while row:
             b = row & -row
             row ^= b
             mapped |= image[b.bit_length() - 1]
-        rows[perm[u]] = mapped
-    return Graph(g.n, tuple(rows))
+        moved[perm[u]] = mapped
+    return moved
 
 
 # ---------------------------------------------------------------------------
@@ -134,23 +143,52 @@ def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
     return dist
 
 
-def _offset_masks(rows: Sequence[int]) -> tuple[dict[int, int], int]:
-    """M_k for each edge offset k: the mask of the n-bit blocks lo of the edges
-    that join positions lo and lo + k; and the edge count."""
-    n = len(rows)
-    block = (1 << n) - 1
-    masks: dict[int, int] = {}
-    m = 0
-    for lo, row in enumerate(rows):
-        row >>= lo + 1
-        at = block << lo * n
-        while row:
-            b = row & -row
-            row ^= b
-            k = b.bit_length()
-            masks[k] = masks.get(k, 0) | at
-            m += 1
-    return masks, m
+@lru_cache(maxsize=1)
+def _grid(n: int) -> tuple[int, int]:
+    """The n*n-bit ints with bits p*n (the block starts) and p*(n + 1) (the
+    diagonal) set for every p < n, built by doubling in O(n*n) bits.  Cached
+    for the last order asked, since a census asks for one order many times."""
+    starts = diagonal = have = 1
+    while have < n:
+        starts |= starts << have * n
+        diagonal |= diagonal << have * (n + 1)
+        have *= 2
+    full = (1 << n * n) - 1
+    return starts & full, diagonal & full
+
+
+def _uppers(rows: Sequence[int]) -> tuple[list[int], list[int]]:
+    """ups[p], row p shifted down by p, whose bit k says that p ~ p + k; and
+    the running ORs of ups from the last position down, so that entry i is
+    the set of offsets of the edges whose lower end is at least n - 1 - i."""
+    ups = [row >> p for p, row in enumerate(rows)]
+    return ups, list(accumulate(reversed(ups), or_))
+
+
+def _offset_masks(ups: list[int], tails: list[int]) -> list[tuple[int, int]]:
+    """(k*n, M_k) for each edge offset k, where M_k fills the n-bit blocks lo
+    of the edges that join positions lo and lo + k.  The rows ups are merged
+    pairwise into ever wider packs, blocks[0] holding the first ``span`` rows
+    at bits p*n .. p*n + n - 1, O(n*n) bits per round.  An offset is read as
+    soon as that pack holds all its lower ends: shifted down by k and cut to
+    the block starts, the pack gives the blocks lo, and (at << n) - at fills
+    them.  So each M_k takes a few operations on fewer than 2*(hi + 1)*n
+    bits, hi its highest lower end, and no step works per edge."""
+    n = len(ups)
+    starts = _grid(n)[0]
+    shifts = []
+    offsets, blocks, span = tails[-1], ups, 1
+    while True:
+        later = tails[n - 1 - span] if span < n else 0
+        for k in _bits(offsets & ~later):
+            at = blocks[0] >> k & starts
+            shifts.append((k * n, (at << n) - at))
+        offsets &= later
+        if not offsets:
+            return shifts
+        pairs = iter(blocks)
+        blocks = [lo | hi << span * n for lo, hi in zip_longest(pairs, pairs, fillvalue=0)]
+        span *= 2
 
 
 def _dfs_positions(rows: Sequence[int]) -> list[int]:
@@ -182,18 +220,21 @@ def _balls(g: Graph) -> Iterator[int]:
     that join lo and lo + k.  Positions are the labels, unless the labels give
     more offsets than the cycle rank plus one (m - n + 2); then they are a DFS
     preorder, where a tree edge has offset 1 unless the search backtracked
-    before it.  A step costs n*n bits of work per offset, so the kernel is fast
-    only on graphs with few offsets, such as glued cycles; a hub graph has
-    about n under any positions.  The stream stops at the first full level,
-    or, on a disconnected graph, at the first level that does not grow, so it
-    ends full iff g is connected, after diameter + 1 levels."""
+    before it.  The set-up counts the offsets on n-bit rows, moves the rows to
+    the DFS positions when it takes them (no Graph is built), builds each M_k
+    once and the diagonal by doubling.  A step costs n*n bits of work per
+    offset, so the kernel is fast only on graphs with few offsets, such as
+    glued cycles; a hub graph has about n under any positions.  The stream
+    stops at the first full level, or, on a disconnected graph, at the first
+    level that does not grow, so it ends full iff g is connected, after
+    diameter + 1 levels."""
     n = g.n
-    masks, m = _offset_masks(g.rows)
-    if len(masks) > m - n + 2:
-        masks = _offset_masks(relabel(g, _dfs_positions(g.rows)).rows)[0]
-    shifts = [(k * n, mask) for k, mask in masks.items()]
+    ups, tails = _uppers(g.rows)
+    if tails[-1].bit_count() > g.m - n + 2:
+        ups, tails = _uppers(_moved_rows(g.rows, _dfs_positions(g.rows)))
+    shifts = _offset_masks(ups, tails)
     full = (1 << n * n) - 1
-    level = sum(1 << p * (n + 1) for p in range(n))
+    level = _grid(n)[1]
     yield level
     while level != full:
         grown = level
@@ -211,7 +252,7 @@ def diameter(g: Graph) -> Optional[int]:
         return None
     for d, level in enumerate(_balls(g)):
         pass
-    return d if level.bit_count() == g.n * g.n else None
+    return d if level == (1 << g.n * g.n) - 1 else None
 
 
 def is_connected(g: Graph) -> bool:
@@ -219,16 +260,31 @@ def is_connected(g: Graph) -> bool:
 
 
 def wiener(g: Graph) -> int:
-    """Sum of distances over all unordered vertex pairs; ValueError if empty or disconnected."""
+    """Sum of distances over all unordered vertex pairs; ValueError if empty or
+    disconnected.  Number the L levels of _balls from d = 1.  A pair at
+    distance t is missing from levels 1 .. t, and floor(t / 2**i) of those
+    are multiples of 2**i, so bit i of t is the parity of that count.  Plane
+    i, the XOR of the levels d with 2**i | d, complemented when
+    floor(L / 2**i) is odd, therefore holds bit i of every distance, and
+    2W = sum of popcount(plane i) << i.  Level d is XORed into the planes
+    0 .. tz(d), two on average, so the sum takes floor(log2 L) + 1 popcounts
+    and keeps as many n*n-bit planes."""
     if g.n == 0:
         raise ValueError("wiener index undefined: graph is empty")
-    total = missing = 0
-    for level in _balls(g):
-        missing = g.n * g.n - level.bit_count()
-        total += missing
-    if missing:  # the last level is full unless some vertex is unreachable
+    planes = [0]
+    for d, level in enumerate(_balls(g), 1):
+        planes[0] ^= level
+        i = 0
+        while not d >> i & 1:  # 2**(i + 1) divides d
+            i += 1
+            if i == len(planes):
+                planes.append(0)
+            planes[i] ^= level
+    full = (1 << g.n * g.n) - 1
+    if level != full:  # the last level is full unless some vertex is unreachable
         raise ValueError("wiener index undefined: graph is disconnected")
-    return total // 2
+    return sum((plane ^ full if d >> i & 1 else plane).bit_count() << i
+               for i, plane in enumerate(planes)) // 2
 
 
 def sigma_vertex(g: Graph, v: int) -> int:

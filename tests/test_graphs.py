@@ -1,5 +1,6 @@
 """Core graph type: construction, distances, predicates, blocks, graph6."""
 import itertools
+import math
 import random
 import time
 
@@ -16,6 +17,7 @@ from wienerlab.families import (
     vertex_glued_cycles,
 )
 from wienerlab import graphs
+from wienerlab.formulas import wiener_cycle
 from wienerlab.graphs import (
     bfs_distances,
     block_decomposition,
@@ -287,6 +289,71 @@ def test_shuffled_long_cycles_stay_fast():
     elapsed = time.perf_counter() - t0
     assert values == [(27_000_000, 300), (20_306_175, 300)]
     assert elapsed < 1.5, f"took {elapsed:.2f} s"
+
+
+def test_wiener_planes_across_powers_of_two():
+    """W reads bit i of each distance from the XOR of the levels d (from 1)
+    with 2**i | d, complemented when floor(L / 2**i) is odd.  P_n streams n
+    levels and C_n floor(n / 2) + 1, so these counts cross every power of two
+    up to 64, where a plane is added and the parities of floor(L / 2**i)
+    change."""
+    for n in range(1, 71):
+        assert (wiener(path(n)), diameter(path(n))) == (math.comb(n + 1, 3), n - 1)
+    for n in range(3, 71):
+        assert (wiener(cycle(n)), diameter(cycle(n))) == (wiener_cycle(n), n // 2)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_disconnected_graph_with_a_power_of_two_levels(k):
+    """A path on 2**k vertices and an isolated vertex: the stream yields the
+    path's 2**k levels and stops at the first that does not grow, just as
+    the last plane opens; W must still see the level that is not full."""
+    a = 2 ** k
+    g = build_graph(a + 1, [(v, v + 1) for v in range(a - 1)])
+    assert sum(1 for _ in graphs._balls(g)) == a
+    with pytest.raises(ValueError, match="graph is disconnected"):
+        wiener(g)
+    assert diameter(g) is None
+
+
+def packed_balls(g):
+    """The kernel's levels built from per-source BFS with the labels as
+    positions: bit p*n + q of level d is set iff d(p, q) <= d.  The list ends
+    at the largest finite distance, as the kernel's stream does."""
+    n = g.n
+    rows = [bfs_distances(g, p) for p in range(n)]
+    top = max(d for row in rows for d in row if d is not None)
+    return [sum(1 << p * n + q for p, row in enumerate(rows)
+                for q, t in enumerate(row) if t is not None and t <= d)
+            for d in range(top + 1)]
+
+
+def test_ball_levels_match_bfs_when_positions_are_labels():
+    """Every level of _balls against packed_balls, which shares no code with
+    the kernel's set-up, on graphs whose labels are their own DFS preorder, so
+    the kernel's positions are the labels whichever rule it takes: cycles and
+    paths labeled in order, two disjoint cycles, and glued cycle pairs (with
+    4 offsets, more than m - n + 2 = 3) relabeled by their DFS preorder."""
+    cases = [cycle(n) for n in (3, 4, 7, 16, 33, 60)]
+    cases += [path(n) for n in (1, 2, 5, 32, 61)]
+    cases.append(build_graph(60, [(v, (v + 1) % 30 + v // 30 * 30) for v in range(60)]))
+    for n, a in ((7, 4), (12, 4), (40, 13), (61, 30)):
+        for g in (vertex_glued_cycles(n, a), edge_glued_cycles(n, a)):
+            cases.append(relabel(g, graphs._dfs_positions(g.rows)))
+    for g in cases:
+        assert graphs._dfs_positions(g.rows) == list(range(g.n))
+        assert list(graphs._balls(g)) == packed_balls(g), (g.n, g.m)
+
+
+def test_the_kernel_builds_no_relabeled_graph(dfs_runs, monkeypatch):
+    """With DFS positions the kernel moves the rows itself: wiener and
+    diameter of a shuffled C_60 take the DFS path and never call relabel."""
+    g = shuffled(cycle(60), 0)
+    relabels = []
+    monkeypatch.setattr(graphs, "relabel", lambda *args: relabels.append(args))
+    assert (wiener(g), diameter(g)) == (wiener_cycle(60), 30)
+    assert dfs_runs == [60, 60]
+    assert relabels == []
 
 
 @pytest.mark.parametrize("n", range(1, 8))
