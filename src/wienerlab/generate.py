@@ -16,7 +16,7 @@ never a cut vertex (removing it leaves the connected parent) and orbits
 preserve keys, so a child in which some non-cut vertex outranks the new
 vertex is rejected before it is canonically labeled.  Degrees are compared
 first, neighbor degrees only on a degree tie, and cut vertices are tested
-(by the bitmask reachability of graphs._is_cut) only for vertices of at
+(by graphs._is_cut, one reachability in G - v) only for vertices of at
 least the new vertex's degree.  Surviving children are canonized, since
 emission needs their canonical order and the next level's orbit dedup their
 automorphisms; the orbit test itself runs only when another non-cut vertex
@@ -33,10 +33,10 @@ they are built.  A non-cut vertex v of the parent stays non-cut in the child
 whenever S holds a vertex other than v (the new vertex then keeps a neighbor
 in the connected parent minus v), and its child degree is deg(v) + [v in S]
 against |S| for the new vertex.  Per parent, _noncut_above reads one
-_cut_mask into above[t], the non-cut vertices of degree > t, and S is
-skipped when above[|S|] has a vertex outside S or, for |S| >= 2,
-above[|S| - 1] has one inside S.  Each skipped child would fail the key
-test, so the accepted set is unchanged.
+_cut_mask, one _is_cut per vertex, into above[t], the non-cut vertices of
+degree > t, and S is skipped when above[|S|] has a vertex outside S or,
+for |S| >= 2, above[|S| - 1] has one inside S.  Each skipped child would
+fail the key test, so the accepted set is unchanged.
 
 The search tree ranges over connected graphs.  Each node passes its edge
 count m and its odd-degree bitmask odd down: the child that joins the new
@@ -166,19 +166,18 @@ def _key_rivals(rows: Sequence[int]) -> Optional[int]:
     k = n - 1
     deg = [r.bit_count() for r in rows]
     dk = deg[k]
-    full = (1 << n) - 1
     level = []
     for v in range(k):
         d = deg[v]
         if d > dk:
-            if not _is_cut(v, rows, full):
+            if not _is_cut(v, rows):
                 return None
         elif d == dk:
             level.append(v)
     rivals = 0
     key = None
     for v in level:
-        if _is_cut(v, rows, full):
+        if _is_cut(v, rows):
             continue
         if key is None:
             key = _neighbor_degrees(rows[k], deg)

@@ -10,8 +10,8 @@ that packs the distance balls of all vertices into one int and grows them all
 by one radius per level with a few shifts per edge offset, and W reads the
 binary digits of all distances from a few XOR planes of those levels;
 bfs_distances, sigma_* and is_connected read one frontier BFS from a vertex
-set.  Cut vertices, bridges and blocks are all answered by one bitmask
-reachability routine, _reach, which the enumerator's key test also uses.
+set.  Cut vertices, bridges and blocks, and the enumerator's key test, read
+one split of G - v, _parts, at one bitmask reachability (_reach) per part.
 """
 from __future__ import annotations
 
@@ -338,38 +338,38 @@ def _reach(rows: Sequence[int], seed: int, allowed: int) -> int:
     return seen
 
 
-def _is_cut(v: int, rows: Sequence[int], comp: int) -> bool:
-    """True when removing v disconnects ``comp``, the component holding v."""
-    rest = comp & ~(1 << v)
-    return _reach(rows, rest & -rest, rest) != rest
+def _parts(rows: Sequence[int], v: int) -> list[int]:
+    """The components of G - v that hold a neighbour of v, one _reach each,
+    seeded at the lowest neighbour that no part holds yet.  v is a cut vertex
+    iff it has two or more parts; vw is a bridge iff the part that holds w
+    holds no other neighbour of v."""
+    parts = []
+    left = rows[v]
+    while left:
+        part = _reach(rows, left & -left, ~(1 << v))
+        parts.append(part)
+        left &= ~part
+    return parts
+
+
+def _is_cut(v: int, rows: Sequence[int]) -> bool:
+    """True when v is a cut vertex: the first of its _parts misses a neighbour."""
+    row = rows[v]
+    return row & ~_reach(rows, row & -row, ~(1 << v)) != 0
 
 
 def _cut_mask(rows: Sequence[int]) -> int:
-    """Bitmask of the cut vertices, each tested inside its own component."""
-    full = left = (1 << len(rows)) - 1
-    cuts = 0
-    while left:
-        comp = _reach(rows, left & -left, full)
-        left &= ~comp
-        for v in _bits(comp):
-            if _is_cut(v, rows, comp):
-                cuts |= 1 << v
-    return cuts
+    """Bitmask of the cut vertices."""
+    return sum(1 << v for v in range(len(rows)) if _is_cut(v, rows))
 
 
-def _bridges(rows: Sequence[int], cuts: int) -> list[Edge]:
-    """Sorted bridges, given the cut-vertex mask ``cuts``.  Each end of a bridge
-    is a cut vertex or a leaf, so only edges with such an end are tested: uv
-    is a bridge when no other neighbour of u reaches v in G - u."""
-    full = (1 << len(rows)) - 1
-    ends = cuts | sum(1 << v for v, row in enumerate(rows) if row.bit_count() == 1)
-    return [
-        (u, v)
-        for u, row in enumerate(rows)
-        for v in _bits(row)
-        if u < v and (ends >> u | ends >> v) & 1
-        and not _reach(rows, row & ~(1 << v), full & ~(1 << u)) >> v & 1
-    ]
+def _bridges(rows: Sequence[int]) -> list[Edge]:
+    """Sorted bridges uw, u < w: w is the only neighbour of u in its part of
+    G - u.  Parts come in the order of their lowest neighbours, so the list
+    comes out sorted."""
+    return [(u, hold.bit_length() - 1) for u, row in enumerate(rows)
+            for hold in (part & row for part in _parts(rows, u))
+            if hold.bit_count() == 1 and hold > 1 << u]
 
 
 def cut_vertices(g: Graph) -> frozenset[int]:
@@ -377,7 +377,7 @@ def cut_vertices(g: Graph) -> frozenset[int]:
 
 
 def bridges(g: Graph) -> list[Edge]:
-    return _bridges(g.rows, _cut_mask(g.rows))
+    return _bridges(g.rows)
 
 
 def is_two_edge_connected(g: Graph) -> bool:
@@ -414,25 +414,25 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     """Biconnected decomposition of a connected graph; raises otherwise.
 
     The block of an edge uv is the intersection, over the cut vertices c, of
-    {c} and the part of G - c that holds {u, v} - {c}.  A block minus one
+    {c} and the part of G - c that meets {u, v} - {c}.  A block minus one
     vertex stays connected, so it lies in every such part; by the fan lemma
     a vertex outside it is cut off from it by one of its cut vertices.
     """
     if not is_connected(g):
         raise ValueError("block decomposition requires a connected graph")
     rows, full = g.rows, (1 << g.n) - 1
-    cuts = _cut_mask(rows)
+    cuts = {c: parts for c in range(g.n) if len(parts := _parts(rows, c)) > 1}
     blocks = [] if g.m else [full]  # K_1 is its own block
     for u, v in g.edges():
         uv = 1 << u | 1 << v
         if any(b & uv == uv for b in blocks):
             continue
         block = full
-        for c in _bits(cuts):
-            block &= _reach(rows, uv & ~(1 << c), full & ~(1 << c)) | 1 << c
+        for c, parts in cuts.items():
+            block &= next(p for p in parts if p & uv) | 1 << c
         blocks.append(block)
     ordered = tuple(sorted((frozenset(_bits(b)) for b in blocks), key=sorted))
-    cutset = frozenset(_bits(cuts))
+    cutset = frozenset(cuts)
     flags = tuple(len(b & cutset) == 1 for b in ordered)
     return BlockDecomposition(ordered, cutset, flags)
 

@@ -54,8 +54,7 @@ from .generate import EnumFilter, EnumPartition, enumerate_graphs, map_shards
 from .graphs import (
     Graph,
     _balls,
-    _bridges,
-    _cut_mask,
+    _parts,
     build_graph,
     diameter,
     graph6_decode,
@@ -222,9 +221,9 @@ def census_columns(n: int) -> CensusColumns:
 
 
 def _invariants(g: Graph) -> tuple[int, ...]:
-    """The CensusColumns values of one class, from one cut-vertex mask and
-    one run of the all-sources ball kernel.  Its levels are stacked into one
-    int, level d at bit d*n*n, and ``sel`` marks the first block of each
+    """The CensusColumns values of one class, from the _parts of each vertex
+    and one run of the all-sources ball kernel.  Its levels are stacked into
+    one int, level d at bit d*n*n, and ``sel`` marks the first block of each
     level, so with L levels sigma(s) = n*L - |(stack >> s*n) & sel| and
     sigma({u, w}) = n*L - |(stack >> u*n | stack >> w*n) & sel|.  The vertices
     are the kernel's positions; every column is a sum or a maximum, so their
@@ -232,7 +231,6 @@ def _invariants(g: Graph) -> tuple[int, ...]:
     since u adds d(u, w) to sigma(w) only; pairs are visited by that bound
     until it cannot beat the best."""
     n = g.n
-    cuts = _cut_mask(g.rows)
     stack = sel = 0
     for d, level in enumerate(_balls(g)):
         stack |= level << d * n * n
@@ -240,9 +238,10 @@ def _invariants(g: Graph) -> tuple[int, ...]:
     full = n * (d + 1)
     tails = [stack >> s * n for s in range(n)]
     sums = [full - (tail & sel).bit_count() for tail in tails]
-    biconnected = n >= 3 and not cuts
-    # a 2-connected graph is bridgeless
-    bridgeless = biconnected or not _bridges(g.rows, cuts)
+    # the rule of _parts: two or more make a cut vertex, a lone neighbour a bridge
+    splits = [(row, _parts(g.rows, v)) for v, row in enumerate(g.rows)]
+    biconnected = n >= 3 and all(len(parts) < 2 for _, parts in splits)
+    bridgeless = all((p & row).bit_count() > 1 for row, parts in splits for p in parts)
     pair = 0
     if biconnected:
         by_sum = sorted(range(n), key=sums.__getitem__, reverse=True)

@@ -531,8 +531,7 @@ def test_block_decomposition_requires_connected():
 
 def test_blocks_and_cuts_against_networkx():
     """Cut vertices and bridges on connected and disconnected graphs of orders
-    1..12 (each vertex is tested inside its own component), blocks on the
-    connected ones."""
+    1..12, blocks on the connected ones."""
     rng = random.Random(37)
     connected = split_cuts = 0
     for _ in range(300):
@@ -553,6 +552,42 @@ def test_blocks_and_cuts_against_networkx():
         connected += 1
         assert mine == sorted(tuple(sorted(b)) for b in nx.biconnected_components(h))
     assert connected >= 40 and split_cuts >= 40
+
+
+def test_parts_split_each_component_at_its_vertex():
+    """The _parts of v are disjoint, each holds a neighbour of v, together
+    they are v's component minus v, and there are two or more exactly at the
+    cut vertices.  Graphs of orders 1..12, connected or not, some with
+    isolated vertices or K_2 components appended."""
+    rng = random.Random(41)
+    seen = {"connected": 0, "disconnected": 0, "isolated": 0, "k2": 0, "cut": 0}
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        p = rng.choice((0.15, 0.3, 0.6))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        extra = rng.choice(("", "isolated", "k2"))
+        if extra == "isolated":
+            n += rng.randint(1, 2)
+        elif extra == "k2":
+            edges.append((n, n + 1))
+            n += 2
+        g = build_graph(n, edges)
+        h = to_nx(g)
+        cuts = set(nx.articulation_points(h))
+        seen["connected" if nx.is_connected(h) else "disconnected"] += 1
+        seen["isolated"] += any(d == 0 for _, d in h.degree())
+        seen["k2"] += extra == "k2"
+        seen["cut"] += bool(cuts)
+        for v in range(n):
+            parts = graphs._parts(g.rows, v)
+            union = 0
+            for part in parts:
+                assert part & union == 0
+                assert part & g.rows[v]
+                union |= part
+            assert union == sum(1 << u for u in nx.node_connected_component(h, v) - {v})
+            assert (len(parts) >= 2) == (v in cuts)
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------
