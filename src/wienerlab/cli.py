@@ -21,7 +21,6 @@ import io
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from typing import Iterable, Iterator, Optional, Sequence
 
 import click
@@ -40,7 +39,7 @@ from .generate import (
     extremal_scan,
     map_shards,
 )
-from .graphs import graph6_decode, graph6_encode, wiener
+from .graphs import Graph, graph6_decode, graph6_encode, wiener
 from .verify import (CLAIM_IDS, SKIPPED, VIOLATED, ClaimReport, min_wiener_table,
                      verify_claim)
 
@@ -139,7 +138,7 @@ def cmd_construct(family: str, n: Optional[int], a: Optional[int], fmt: str) -> 
     names, fn = FAMILIES[family]
     with _exit_codes():
         result = fn(*_registry_args(names, {"n": n, "a": a}, "this family"))
-    graphs = list(result) if isinstance(result, tuple) else [result]
+    graphs = [result] if isinstance(result, Graph) else list(result)
     lines = [canonical_form(g) for g in graphs]
     if fmt == "json":
         click.echo(json.dumps(lines))
@@ -211,7 +210,7 @@ def cmd_enumerate(n: int, m: Optional[int], count: bool, shards: Optional[int],
     with _exit_codes():
         if (shards is None) != (shard is None):
             raise ValueError("--shards and --shard must be given together")
-        kw = asdict(_build_filter(n, m))
+        kw = _build_filter(n, m)._asdict()
         lines = (map_shards(_shard_g6, kw, jobs, n) if shards is None
                  else _shard_g6((kw, shards, shard)))
     lines.sort()
@@ -237,7 +236,7 @@ def cmd_rank(n: int, top: int, objective: str, jobs: int, fmt: str) -> None:
     """Extreme Wiener values over connected even-degree graphs of order N."""
     obj = "max_wiener" if objective == "max" else "min_wiener"
     with _exit_codes():
-        kw = asdict(_build_filter(n, None))
+        kw = _build_filter(n, None)._asdict()
         if top < 1:  # here, not in the workers: every --jobs value gives one error
             raise ValueError("k must be positive")
         entries = _top_k(map_shards(_shard_rank, (kw, obj, top), jobs, n), obj, top)
@@ -307,7 +306,7 @@ def cmd_min_table(n: int, m_max: Optional[int], jobs: int, fmt: str) -> None:
     with _exit_codes():
         rows = min_wiener_table(n, m_max, jobs=jobs)
     if fmt == "json":
-        click.echo(json.dumps([asdict(r) for r in rows]))
+        click.echo(json.dumps([r._asdict() for r in rows]))
     elif fmt == "text":
         for r in rows:
             value = "-" if r.min_wiener is None else str(r.min_wiener)

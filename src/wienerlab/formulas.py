@@ -6,9 +6,11 @@ or a transcription slip fails loudly instead of rounding silently.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _exact_div(value: int, by: int) -> int:
@@ -134,6 +136,7 @@ def second_place_gap(n: int, a: int) -> Fraction:
     Positive and nondecreasing in a throughout its domain; its positivity is
     the arithmetic heart of the second-place characterization at large n.
     """
+    from fractions import Fraction  # not at module level: it costs every start-up
     return Fraction(second_place_gap_numerator(n, a), 24)
 
 

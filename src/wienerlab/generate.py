@@ -75,9 +75,8 @@ where starting the pool costs more than the work it shares.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .canon import Perm, _orbit_roots, _placed, _refine, canon_rows
 from .graphs import (
@@ -91,16 +90,20 @@ POOL_MIN_ORDER = 9   # below it a --jobs run stays in this process
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class EnumFilter:
-    """What to generate: connected graphs of one order, optionally with all
-    degrees even; size_range bounds the edge count inclusively."""
-
+class _FilterFields(NamedTuple):
     order: int
     require_even_degrees: bool = True
     size_range: Optional[tuple[int, int]] = None
 
-    def __post_init__(self) -> None:
+
+class EnumFilter(_FilterFields):
+    """What to generate: connected graphs of one order, optionally with all
+    degrees even; size_range bounds the edge count inclusively."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> EnumFilter:
+        self = super().__new__(cls, *args, **kwargs)
         if not 1 <= self.order <= MAX_ORDER:
             raise ValueError(
                 f"order {self.order} outside the supported range 1..{MAX_ORDER}"
@@ -109,16 +112,21 @@ class EnumFilter:
             lo, hi = self.size_range
             if not 0 <= lo <= hi <= self.order * (self.order - 1) // 2:
                 raise ValueError(f"bad size_range {self.size_range}")
+        return self
 
 
-@dataclass(frozen=True)
-class EnumPartition:
-    """Deterministic split of the generation tree into disjoint shards."""
-
+class _PartitionFields(NamedTuple):
     total_shards: int = 1
     shard_index: int = 0
 
-    def __post_init__(self) -> None:
+
+class EnumPartition(_PartitionFields):
+    """Deterministic split of the generation tree into disjoint shards."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> EnumPartition:
+        self = super().__new__(cls, *args, **kwargs)
         if self.total_shards < 1:
             raise ValueError(
                 f"shard count must be positive, got {self.total_shards}")
@@ -126,6 +134,7 @@ class EnumPartition:
             raise ValueError(
                 f"shard {self.shard_index} outside 0..{self.total_shards - 1}"
             )
+        return self
 
 
 def _attach(rows: Sequence[int], s: int) -> list[int]:

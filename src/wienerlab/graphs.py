@@ -15,11 +15,10 @@ one split of G - v, _parts, at one bitmask reachability (_reach) per part.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, zip_longest
 from operator import or_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Edge = tuple[int, int]
 
@@ -35,9 +34,8 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable simple graph.
+class Graph(NamedTuple):
+    """Immutable simple graph, a named tuple (n, rows).
 
     ``rows[v]`` is the adjacency bitmask of vertex ``v``: bit ``u`` is set
     iff u ~ v.
@@ -390,8 +388,7 @@ def is_two_connected(g: Graph) -> bool:
     return g.n >= 3 and is_connected(g) and not _cut_mask(g.rows)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Blocks (maximal 2-connected pieces, plus bridges) with cut vertices.
 
     ``endblock_flags[i]`` is True when ``blocks[i]`` contains exactly one cut

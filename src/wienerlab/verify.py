@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import time
 from array import array
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -76,8 +75,7 @@ CHAIN_ENVELOPE = 300     # per-graph BFS on glued-cycle families
 TRIANGLE_ENVELOPE = 64   # all triangle placements on a cycle, up to rotation
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(NamedTuple):
     claim_id: str
     params: tuple[tuple[str, object], ...]
     status: str
@@ -592,8 +590,7 @@ def verify_P3(n: int, jobs: Optional[int]) -> Outcome:
 # Minimum-Wiener table (open-question data) and its consistency check
 
 
-@dataclass(frozen=True)
-class MinTableRow:
+class MinTableRow(NamedTuple):
     n: int
     m: int
     min_wiener: Optional[int]

@@ -77,6 +77,19 @@ def test_construct_formats(runner):
     assert len(catalog.stdout.splitlines()) >= 1
 
 
+def test_construct_prints_one_graph_or_the_whole_catalog(runner, monkeypatch):
+    """A Graph is a tuple of its fields, so construct must tell one graph
+    from a catalog by type, not by tuple-ness."""
+    one = runner.invoke(main, ["construct", "cycle", "--n", "6"])
+    assert (one.exit_code, one.stdout) == (0, "EBj?\n")
+    catalog = runner.invoke(main, ["construct", "runner-up", "--n", "9"])
+    assert (catalog.exit_code, catalog.stdout) == (0, "H??HeZo\n")
+    monkeypatch.setitem(cli.FAMILIES, "runner-up",
+                        (("n",), lambda n: (cycle(n), vertex_glued_cycles(n, 3))))
+    two = runner.invoke(main, ["construct", "runner-up", "--n", "8"])
+    assert (two.exit_code, two.stdout) == (0, f"{C8}\n{GLUED_83}\n")
+
+
 def test_construct_usage_errors(runner):
     missing = runner.invoke(main, ["construct", "vertex-glued-cycles", "--n", "8"])
     assert missing.exit_code == 2
@@ -467,6 +480,23 @@ def test_verify_reruns_identical_modulo_elapsed(runner):
         outs.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": X',
                            result.stdout))
     assert outs[0] == outs[1]
+
+
+def test_verify_and_min_table_json_are_pinned(runner, census9):
+    """The JSON bytes of a claim report (apart from elapsed_ms) and of the
+    table rows, field order included."""
+    report = runner.invoke(main, ["verify", "--claim", "T2", "--n", "9"])
+    assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": X', report.stdout) == (
+        '{"claim": "T2", "elapsed_ms": X, "notes": "second-largest W = 83; '
+        'runner-up set is the cataloged chain alone, above the triangle-glued '
+        'cycle", "params": {"n": 9}, "status": "verified", '
+        '"witnesses": ["H??HeZo"]}\n')
+    table = runner.invoke(main, ["min-table", "--n", "9", "--format", "json"])
+    assert table.stdout == (
+        '[{"n": 9, "m": 8, "min_wiener": null, "witnesses": []}, '
+        '{"n": 9, "m": 9, "min_wiener": 90, "witnesses": ["H?CidB?"]}, '
+        '{"n": 9, "m": 10, "min_wiener": 78, "witnesses": ["H?CaKRo"]}, '
+        '{"n": 9, "m": 11, "min_wiener": 67, "witnesses": ["H?CaC^o"]}]\n')
 
 
 def test_min_table_csv(runner):

@@ -62,6 +62,25 @@ def test_edge_glued_formula_matches_bfs(n):
         assert wiener_edge_glued(n, a) == wiener(edge_glued_cycles(n, a))
 
 
+def test_vertex_glued_union_formula_matches_bfs_below_order_120():
+    """The one-vertex union formula (Dobrynin, Entringer & Gutman, 2001) with
+    sigma(C_a) = floor(a^2/4): for b = n + 1 - a,
+    W(n, a) = W(C_a) + W(C_b) + (b - 1) floor(a^2/4) + (a - 1) floor(b^2/4),
+    by BFS on all 6,669 graphs with 6 <= n < 120 and 3 <= a <= n - 2.
+    At a = 3 it is the glued-triangle formula."""
+    checked = 0
+    for n in range(6, 120):
+        for a in range(3, n - 1):
+            b = n + 1 - a
+            w = (wiener_cycle(a) + wiener_cycle(b)
+                 + (b - 1) * (a * a // 4) + (a - 1) * (b * b // 4))
+            assert wiener(vertex_glued_cycles(n, a)) == w, (n, a)
+            if a == 3:
+                assert w == wiener_vertex_glued_triangle(n)
+            checked += 1
+    assert checked == 6669
+
+
 def test_edge_glued_symmetry_in_the_formula():
     for n in range(6, 60):
         for a in range(4, n - 1):

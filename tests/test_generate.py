@@ -3,6 +3,7 @@ import functools
 import hashlib
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import time
@@ -476,6 +477,21 @@ def test_filter_validation():
     for total in (0, -2):
         with pytest.raises(ValueError, match="shard count must be positive"):
             EnumPartition(total_shards=total, shard_index=0)
+
+
+def test_filter_and_partition_are_immutable_and_pickle():
+    """Pool shards receive them pickled."""
+    filt = EnumFilter(order=8, size_range=(8, 12))
+    part = EnumPartition(total_shards=8, shard_index=3)
+    for value in (filt, part):
+        copy = pickle.loads(pickle.dumps(value))
+        assert (type(copy), copy) == (type(value), value)
+    assert repr(filt) == "EnumFilter(order=8, require_even_degrees=True, size_range=(8, 12))"
+    assert repr(part) == "EnumPartition(total_shards=8, shard_index=3)"
+    with pytest.raises(AttributeError):
+        filt.order = 9
+    with pytest.raises(AttributeError):
+        part.shard_index = 0
 
 
 def test_extremal_scan_max():

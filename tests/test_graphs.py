@@ -85,6 +85,17 @@ def test_edge_order_is_normalized():
     assert g.rows == (0b110, 0b001, 0b001)
 
 
+def test_graph_repr_hash_and_fields_are_fixed():
+    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert repr(g) == "Graph(n=3, rows=(6, 5, 3))"
+    assert hash(g) == hash((3, (6, 5, 3)))
+    assert g == build_graph(3, [(2, 1), (0, 2), (1, 0)])
+    with pytest.raises(AttributeError):
+        g.n = 4
+    with pytest.raises(AttributeError):
+        g.rows = (0, 0, 0)
+
+
 def test_rows_over_several_limbs_against_networkx():
     """Order 150: the rows are ints well past 64 bits."""
     rng = random.Random(5)

@@ -539,6 +539,13 @@ def test_min_wiener_table_default_range_may_be_empty():
         assert min_wiener_table(n)[0].m == n - 1
 
 
+def test_claim_report_is_immutable():
+    report = verify_T1(6)
+    assert report.param_dict() == {"n": 6}
+    with pytest.raises(AttributeError):
+        report.status = VIOLATED
+
+
 def test_verify_claim_takes_one_kind_of_order():
     with pytest.raises(ValueError, match="^claim GAP takes a range of orders, not an order$"):
         verify_claim("GAP", n=30)
