@@ -7,11 +7,11 @@ them and the graphs they emit.  All quantities (distances, Wiener index,
 remoteness sums) are exact integers; nothing here touches floating point.
 W, the diameter and the census columns of verify read one all-sources kernel
 that packs the distance balls of all vertices into one int and grows them all
-by one radius per level with a few shifts per edge offset, and W reads the
-binary digits of all distances from a few XOR planes of those levels;
-bfs_distances, sigma_* and is_connected read one frontier BFS from a vertex
-set.  Cut vertices, bridges and blocks, and the enumerator's key test, read
-one split of G - v, _parts, at one bitmask reachability (_reach) per part.
+by one radius per level with a few shifts per edge offset, over the blocks
+its edges reach when those end low; W reads the bits of all distances from
+XOR planes of the levels.  bfs_distances, sigma_* and is_connected read one
+frontier BFS from a vertex set.  Cut vertices, bridges, blocks and the
+enumerator's key test read one split of G - v (_parts), one _reach per part.
 """
 from __future__ import annotations
 
@@ -163,27 +163,34 @@ def _uppers(rows: Sequence[int]) -> tuple[list[int], list[int]]:
     return ups, list(accumulate(reversed(ups), or_))
 
 
-def _offset_masks(ups: list[int], tails: list[int]) -> list[tuple[int, int]]:
-    """(k*n, M_k) for each edge offset k, where M_k fills the n-bit blocks lo
-    of the edges that join positions lo and lo + k.  The rows ups are merged
-    pairwise into ever wider packs, blocks[0] holding the first ``span`` rows
-    at bits p*n .. p*n + n - 1, O(n*n) bits per round.  An offset is read as
-    soon as that pack holds all its lower ends: shifted down by k and cut to
-    the block starts, the pack gives the blocks lo, and (at << n) - at fills
-    them.  So each M_k takes a few operations on fewer than 2*(hi + 1)*n
-    bits, hi its highest lower end, and no step works per edge."""
+def _offset_masks(ups: list[int], tails: list[int]) -> tuple[list, list]:
+    """(k*n, M_k, M_k << k*n) for each near edge offset k and (k*n, M_k) for
+    each far one, where M_k fills the n-bit blocks lo of the edges that join
+    positions lo and lo + k.  The rows ups are merged pairwise into ever
+    wider packs, blocks[0] holding the first ``span`` rows at bits
+    p*n .. p*n + n - 1, O(n*n) bits per round.  An offset is read as soon as
+    that pack holds all its lower ends: shifted down by k and cut to the
+    block starts, the pack gives the blocks lo, and (at << n) - at fills
+    them, a few operations on fewer than 2*span*n bits.  It is near when
+    span + k < n/2: its blocks up to lo + k end in the lower half of a
+    level, so a down-move cut to M_k << k*n before its shift shifts n*n/2
+    digits fewer than one shifted first, more than building M_k << k*n took."""
     n = len(ups)
     starts = _grid(n)[0]
-    shifts = []
+    near, far = [], []
     offsets, blocks, span = tails[-1], ups, 1
     while True:
         later = tails[n - 1 - span] if span < n else 0
         for k in _bits(offsets & ~later):
             at = blocks[0] >> k & starts
-            shifts.append((k * n, (at << n) - at))
+            mask, shift = (at << n) - at, k * n
+            if 2 * (span + k) < n:
+                near.append((shift, mask, mask << shift))
+            else:
+                far.append((shift, mask))
         offsets &= later
         if not offsets:
-            return shifts
+            return near, far
         pairs = iter(blocks)
         blocks = [lo | hi << span * n for lo, hi in zip_longest(pairs, pairs, fillvalue=0)]
         span *= 2
@@ -215,28 +222,31 @@ def _balls(g: Graph) -> Iterator[int]:
     B_{d+1}[s] = B_d[s] | OR of B_d[v] over v ~ s, so one step moves whole
     blocks: for each distinct edge offset k, block lo takes in block lo + k and
     block lo + k takes in block lo, where M_k marks the blocks lo of the edges
-    that join lo and lo + k.  Positions are the labels, unless the labels give
-    more offsets than the cycle rank plus one (m - n + 2); then they are a DFS
-    preorder, where a tree edge has offset 1 unless the search backtracked
-    before it.  The set-up counts the offsets on n-bit rows, moves the rows to
-    the DFS positions when it takes them (no Graph is built), builds each M_k
-    once and the diagonal by doubling.  A step costs n*n bits of work per
-    offset, so the kernel is fast only on graphs with few offsets, such as
-    glued cycles; a hub graph has about n under any positions.  The stream
-    stops at the first full level, or, on a disconnected graph, at the first
-    level that does not grow, so it ends full iff g is connected, after
-    diameter + 1 levels."""
+    that join lo and lo + k.  Positions are the labels, unless they give more
+    offsets than m - n + 3; then they are a DFS preorder, where a tree edge
+    has offset 1 unless the search backtracked before it, so one backtrack
+    gives at most m - n + 3.  The set-up counts the offsets on n-bit rows,
+    moves the rows to the DFS positions when it takes them (no Graph is
+    built), builds each M_k once and the diagonal by doubling.  Per offset a
+    step ORs n*n bits into the level, and its shifts run over the blocks its
+    edges reach, but a far offset's down-move (_offset_masks) over n*n - k*n
+    bits: few offsets, as in glued cycles, make a fast kernel, and a hub
+    graph has about n under any positions.  The stream stops at the first
+    full level, or, on a disconnected graph, at the first level that does
+    not grow, so it ends full iff g is connected, after diameter + 1 levels."""
     n = g.n
     ups, tails = _uppers(g.rows)
-    if tails[-1].bit_count() > g.m - n + 2:
+    if tails[-1].bit_count() > g.m - n + 3:
         ups, tails = _uppers(_moved_rows(g.rows, _dfs_positions(g.rows)))
-    shifts = _offset_masks(ups, tails)
+    near, far = _offset_masks(ups, tails)
     full = (1 << n * n) - 1
     level = _grid(n)[1]
     yield level
     while level != full:
         grown = level
-        for shift, mask in shifts:
+        for shift, mask, high in near:
+            grown |= (level & high) >> shift | (level & mask) << shift
+        for shift, mask in far:
             grown |= level >> shift & mask | (level & mask) << shift
         if grown == level:
             return

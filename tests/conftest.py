@@ -1,11 +1,13 @@
 """Shared fixtures: warmed graph censuses and their build timings, a
-timeout for tests that could hang, and the automorphism group order oracle."""
+timeout for tests that could hang, the automorphism group order oracle and
+the one-vertex union formula for W of two glued cycles."""
 import signal
 import time
 
 import pytest
 
 from wienerlab.canon import canon_rows
+from wienerlab.formulas import wiener_cycle
 from wienerlab.verify import eulerian_census
 
 # wall-clock seconds for the first (cold) build of each census, keyed by name
@@ -45,6 +47,18 @@ def group_order():
             elems = elems | frontier
         return len(elems)
     return order
+
+
+@pytest.fixture(scope="session")
+def vertex_glued_union():
+    """W of vertex_glued_cycles(n, a) by the one-vertex union formula
+    (Dobrynin, Entringer & Gutman, 2001) with sigma(C_a) = floor(a^2/4): for
+    b = n + 1 - a, W(C_a) + W(C_b) + (b - 1) floor(a^2/4) + (a - 1) floor(b^2/4)."""
+    def union(n, a):
+        b = n + 1 - a
+        return (wiener_cycle(a) + wiener_cycle(b)
+                + (b - 1) * (a * a // 4) + (a - 1) * (b * b // 4))
+    return union
 
 
 @pytest.fixture

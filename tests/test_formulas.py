@@ -62,23 +62,47 @@ def test_edge_glued_formula_matches_bfs(n):
         assert wiener_edge_glued(n, a) == wiener(edge_glued_cycles(n, a))
 
 
-def test_vertex_glued_union_formula_matches_bfs_below_order_120():
-    """The one-vertex union formula (Dobrynin, Entringer & Gutman, 2001) with
-    sigma(C_a) = floor(a^2/4): for b = n + 1 - a,
-    W(n, a) = W(C_a) + W(C_b) + (b - 1) floor(a^2/4) + (a - 1) floor(b^2/4),
-    by BFS on all 6,669 graphs with 6 <= n < 120 and 3 <= a <= n - 2.
-    At a = 3 it is the glued-triangle formula."""
+def test_vertex_glued_union_formula_matches_bfs_below_order_120(vertex_glued_union):
+    """The one-vertex union formula (conftest) equals BFS on all 6,669
+    graphs with 6 <= n < 120 and 3 <= a <= n - 2.  At a = 3 it is the
+    glued-triangle formula."""
     checked = 0
     for n in range(6, 120):
         for a in range(3, n - 1):
-            b = n + 1 - a
-            w = (wiener_cycle(a) + wiener_cycle(b)
-                 + (b - 1) * (a * a // 4) + (a - 1) * (b * b // 4))
+            w = vertex_glued_union(n, a)
             assert wiener(vertex_glued_cycles(n, a)) == w, (n, a)
             if a == 3:
                 assert w == wiener_vertex_glued_triangle(n)
             checked += 1
     assert checked == 6669
+
+
+# 2 (W(n, a) - W(n, a + 1)) of the union formula on the class of
+# (n mod 2, a mod 2), with n = 2p + i
+L2_STEP_FACTORS = {
+    (0, 0): lambda p, a: (p - 1) * (p - a),
+    (0, 1): lambda p, a: (p - 2) * (p - a),
+    (1, 0): lambda p, a: p * (p + 1 - a) + a,
+    (1, 1): lambda p, a: (p - 1) * (p - 1 - a) - 2,
+}
+
+
+@pytest.mark.parametrize("i,j", sorted(L2_STEP_FACTORS))
+def test_l2_step_factors_on_each_parity_class_below_order_600(i, j, vertex_glued_union):
+    """The factoring of 2 (W(n, a) - W(n, a + 1)) on the class (i, j) holds
+    for every 6 <= n < 600 and 3 <= a < a + 1 <= n - 2.  On a class both
+    sides are polynomials of degree at most 3 in each of p and q, a = 2q + j
+    (the parity of b = n + 1 - a is fixed too), and these orders hold a
+    4 x 4 grid in (p, q), so the identity holds for every order.  What is
+    proved is a fact about the formula; which comparisons of _chain_order
+    it decides is not checked here."""
+    checked = 0
+    for n in range(6 + i, 600, 2):
+        for a in range(3 + (j != 1), n - 2, 2):
+            step = vertex_glued_union(n, a) - vertex_glued_union(n, a + 1)
+            assert 2 * step == L2_STEP_FACTORS[i, j](n // 2, a), (n, a)
+            checked += 1
+    assert checked == (43_956 if (i, j) == (0, 0) else 44_253)
 
 
 def test_edge_glued_symmetry_in_the_formula():

@@ -12,6 +12,7 @@ from wienerlab.families import (
     complete,
     cycle,
     edge_glued_cycles,
+    friendship,
     path,
     runner_up_catalog,
     vertex_glued_cycles,
@@ -39,7 +40,7 @@ from wienerlab.graphs import (
     sigma_vertex,
     wiener,
 )
-from wienerlab.verify import census_columns, connected_census
+from wienerlab.verify import _chain_order, _invariants, census_columns, connected_census
 
 
 def to_nx(g):
@@ -302,6 +303,95 @@ def test_shuffled_long_cycles_stay_fast():
     assert elapsed < 1.5, f"took {elapsed:.2f} s"
 
 
+def test_l2_graphs_match_the_union_formula_on_their_labels(dfs_runs, vertex_glued_union):
+    """W of each of the 148 graphs that L2 orders at n = 300 equals the union
+    formula.  Their labels give 4 edge offsets (1, a - 1, a and n - 1),
+    within m - n + 3 = 4, so the kernel keeps the labels and never calls
+    _dfs_positions; shuffled copies take a DFS preorder and agree."""
+    order = _chain_order(300)
+    assert len(order) == 148
+    for a in order:
+        assert wiener(vertex_glued_cycles(300, a)) == vertex_glued_union(300, a), a
+    assert dfs_runs == []
+    for seed, a in enumerate((3, 76, 150)):
+        w = vertex_glued_union(300, a)
+        assert wiener(shuffled(vertex_glued_cycles(300, a), seed)) == w
+    assert dfs_runs == [300] * 3
+
+
+def wheel(n):
+    """The hub 0 joined to every vertex of the cycle 1, 2, ..., n - 1."""
+    rim = [(v, v % (n - 1) + 1) for v in range(1, n)]
+    return build_graph(n, [(0, v) for v in range(1, n)] + rim)
+
+
+def test_many_offset_graphs_stay_fast():
+    """Budget 0.4 s: W and the diameter of graphs with 225-300 edge offsets
+    under the kernel's positions, so that a level step makes about n pairs
+    of block moves, took about 0.04 s in all: the star K_{1,299},
+    friendship(150), the wheel on 301 vertices plain and shuffled, and a
+    shuffled random graph with n = 300 and m = 600.  The hub graphs have
+    W = (n - 1)^2, 4k^2 - k and (n - 1)(n - 2), and diameter 2."""
+    rng = random.Random(5)
+    edges = {(rng.randrange(v), v) for v in range(1, 300)}
+    while len(edges) < 600:
+        edges.add(tuple(sorted(rng.sample(range(300), 2))))
+    sparse = shuffled(build_graph(300, edges), 6)
+    h = to_nx(sparse)
+    cases = [
+        (build_graph(300, [(0, v) for v in range(1, 300)]), 299 ** 2, 2),
+        (friendship(150), 4 * 150 ** 2 - 150, 2),
+        (wheel(301), 300 * 299, 2),
+        (shuffled(wheel(301), 7), 300 * 299, 2),
+        (sparse, nx.wiener_index(h), nx.diameter(h)),
+    ]
+    t0 = time.perf_counter()
+    values = [(wiener(g), diameter(g)) for g, _, _ in cases]
+    elapsed = time.perf_counter() - t0
+    assert values == [(w, d) for _, w, d in cases]
+    assert elapsed < 0.4, f"took {elapsed:.2f} s"
+
+
+@st.composite
+def hub_graphs(draw):
+    """Connected graphs on 9..70 vertices: a body on 0 .. body - 1 that is a
+    path or a tree with drawn parents, optionally closed by the edge
+    (0, body - 1), a hub 0 joined to a drawn set of body vertices, chords
+    inside the body, and, half the time, a pendant path body, ..., n - 1
+    hung from body - 1; the labels are kept or shuffled."""
+    n = draw(st.integers(9, 70))
+    body = n - draw(st.integers(0, n - 3)) if draw(st.booleans()) else n
+    tree = draw(st.booleans())
+    edges = {(draw(st.integers(0, v - 1)) if tree and v < body else v - 1, v)
+             for v in range(1, n)}
+    if draw(st.booleans()):
+        edges.add((0, body - 1))
+    edges |= {(0, v) for v in draw(st.sets(st.integers(1, body - 1)))}
+    vertex = st.integers(0, body - 1)
+    edges |= {(min(e), max(e)) for e in draw(st.lists(st.tuples(vertex, vertex), max_size=body))
+              if e[0] != e[1]}
+    g = build_graph(n, edges)
+    return relabel(g, draw(st.permutations(range(n)))) if draw(st.booleans()) else g
+
+
+@settings(max_examples=100, deadline=None)
+@given(hub_graphs())
+def test_kernel_and_census_columns_match_networkx_on_hub_graphs(g):
+    """W, the diameter and every _invariants column against networkx on
+    graphs large enough for offsets of both move forms (a hub at a low
+    position, a pendant path at the top), on both sides of the DFS rule."""
+    h = to_nx(g)
+    dist = dict(nx.all_pairs_shortest_path_length(h))
+    sums = [sum(dist[v].values()) for v in range(g.n)]
+    w, d = sum(sums) // 2, max(max(row.values()) for row in dist.values())
+    biconnected = nx.is_biconnected(h)
+    pair = max(sum(min(dist[y][u], dist[y][v]) for y in range(g.n))
+               for u, v in itertools.combinations(range(g.n), 2)) if biconnected else 0
+    assert (wiener(g), diameter(g)) == (w, d)
+    assert _invariants(g) == (g.m, w, d, max(sums), pair, biconnected,
+                              not nx.has_bridges(h))
+
+
 def test_wiener_planes_across_powers_of_two():
     """W reads bit i of each distance from the XOR of the levels d (from 1)
     with 2**i | d, complemented when floor(L / 2**i) is odd.  P_n streams n
@@ -344,8 +434,8 @@ def test_ball_levels_match_bfs_when_positions_are_labels():
     the kernel's set-up, on graphs whose labels are their own DFS preorder, so
     the kernel's positions are the labels whichever rule it takes: cycles and
     paths labeled in order, two disjoint cycles, and glued cycle pairs
-    relabeled by their DFS preorder (a vertex-glued pair's labels give 4
-    offsets, more than m - n + 2 = 3)."""
+    relabeled by their DFS preorder (their labels already are one, and a
+    vertex-glued pair's give 4 offsets, within m - n + 3 = 4)."""
     cases = [cycle(n) for n in (3, 4, 7, 16, 33, 60)]
     cases += [path(n) for n in (1, 2, 5, 32, 61)]
     cases.append(build_graph(60, [(v, (v + 1) % 30 + v // 30 * 30) for v in range(60)]))
